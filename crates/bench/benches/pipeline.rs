@@ -1,5 +1,5 @@
 //! The `pipeline_engine` bench group: the barriered seed evaluation
-//! driver vs the streaming stage-graph driver on the
+//! driver vs the streaming driver on the
 //! (model × problem × variant) grid.
 //!
 //! Both drivers run with run-local memos (no shared cache) so the
@@ -28,10 +28,10 @@ fn grid_models(dataset: &Arc<Dataset>) -> Vec<SimulatedModel> {
 /// generation regimes:
 ///
 /// * `grid` — instant generation (pure simulation speed). CPU-bound: the
-///   stage-graph wins by parallelizing the phases the seed ran serially,
+///   streaming driver wins by parallelizing the phases the seed ran serially,
 ///   so the margin tracks the machine's core count.
 /// * `remote-grid` — the paper's regime: each request really occupies
-///   its query worker for a service latency. The stage-graph fills that
+///   its query worker for a service latency. The streaming driver fills that
 ///   idle wire time with scoring and substrate execution, so it wins on
 ///   any machine — including single-core CI runners.
 fn bench_pipeline_engine(c: &mut Criterion) {
@@ -76,7 +76,7 @@ fn bench_pipeline_engine(c: &mut Criterion) {
     group.finish();
 }
 
-/// Worker-scaling of the streamed driver alone: the stage-graph should
+/// Worker-scaling of the streamed driver alone: it should
 /// keep winning as the pool grows instead of serializing on a phase.
 fn bench_streamed_scaling(c: &mut Criterion) {
     let dataset = Arc::new(Dataset::generate());

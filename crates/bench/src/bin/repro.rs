@@ -19,15 +19,10 @@
 //! * `--variants LIST` — comma-separated subset of
 //!   `original,simplified,translated` used by the `grid` and `pipeline`
 //!   targets (default: all three);
-//! * `--channel-bound N` — inter-stage channel depth of the streaming
-//!   stage-graph driver (default 128), used by the `pipeline` target;
+//! * `--channel-bound N` — scoring → substrate job-channel depth of the
+//!   streaming driver (default 128), used by the `pipeline` target;
 //! * `--live-latency MS` — per-request wall-clock latency of the
 //!   `pipeline` target's remote-generation section (default 15 ms);
-//! * `--prepared on|off` — parse-once document model for the `pipeline`
-//!   target's streamed driver (default `on`; `off` re-parses at every
-//!   layer like the seed pipeline). Either way the target also prints a
-//!   dedicated prepared-vs-text A/B speedup line with a verdict-identity
-//!   check;
 //! * `--rounds N` — repair rounds after the first attempt (default 2),
 //!   used by the `repair` target;
 //! * `--feedback full|bucket-only|none` — how much of each failure's
@@ -44,9 +39,8 @@ fn main() {
     let mut stride = 1usize;
     let mut workers = cloudeval_core::harness::default_workers();
     let mut variants: Vec<Variant> = Variant::ALL.to_vec();
-    let mut channel_bound = cloudeval_core::pipeline::DEFAULT_CHANNEL_BOUND;
+    let mut channel_bound = cloudeval_core::harness::DEFAULT_CHANNEL_BOUND;
     let mut live_latency_ms = 15u64;
-    let mut prepared = true;
     let mut port = 0u16;
     let mut requests = 200usize;
     let mut clients = 4usize;
@@ -92,14 +86,6 @@ fn main() {
                     .get(i)
                     .and_then(|s| s.parse().ok())
                     .unwrap_or_else(|| die("--live-latency needs milliseconds"));
-            }
-            "--prepared" => {
-                i += 1;
-                prepared = match args.get(i).map(String::as_str) {
-                    Some("on") => true,
-                    Some("off") => false,
-                    _ => die("--prepared needs on|off"),
-                };
             }
             "--port" => {
                 i += 1;
@@ -219,7 +205,6 @@ fn main() {
                 &variants,
                 channel_bound,
                 live_latency_ms,
-                prepared,
             ),
             other => {
                 eprintln!("unknown target {other:?} (see --help)");
@@ -259,7 +244,7 @@ fn parse_variants(list: &str) -> Result<Vec<Variant>, String> {
 
 fn print_usage() {
     eprintln!(
-        "usage: repro [--stride N] [--workers N] [--variants LIST] [--channel-bound N] [--live-latency MS] [--prepared on|off] [--rounds N] [--feedback full|bucket-only|none] [--port N] [--requests N] [--clients N] [--conns N] [--memo PATH] <target>..."
+        "usage: repro [--stride N] [--workers N] [--variants LIST] [--channel-bound N] [--live-latency MS] [--rounds N] [--feedback full|bucket-only|none] [--port N] [--requests N] [--clients N] [--conns N] [--memo PATH] <target>..."
     );
     eprintln!("targets: {} | all | bench", ALL_TARGETS.join(" | "));
     eprintln!("parse: legacy-vs-arena YAML parse A/B with 1.5x verdict");
@@ -267,8 +252,7 @@ fn print_usage() {
     eprintln!("bench: run every criterion engine group, refreshing BENCH_*.json at the repo root (not part of `all`)");
     eprintln!("variants: original,simplified,translated (grid/trace/pipeline targets)");
     eprintln!("trace: per-stage time breakdown of one grid run from the obs layer, plus one repair attempt's span tree");
-    eprintln!("channel-bound: stage-graph backpressure depth (pipeline target)");
-    eprintln!("prepared: parse-once document model A/B (pipeline target)");
+    eprintln!("channel-bound: scoring -> substrate backpressure depth (pipeline target)");
     eprintln!("rounds/feedback: fail-learn-refine loop knobs (repair target)");
     eprintln!("port/requests/clients/memo: benchmark-as-a-service knobs (serve target)");
     eprintln!("conns: keep-alive connections per client thread (serve target)");

@@ -132,12 +132,11 @@ impl Experiments {
 
     /// Head-to-head of the two evaluation drivers on the full
     /// (model × problem × variant) grid: the barriered seed path vs the
-    /// streaming stage-graph, wall-clock and per-model agreement — first
-    /// at pure simulation speed (CPU-bound), then in the
-    /// latency-realistic remote regime (`live_latency_ms`), where
-    /// generation workers really idle on the simulated wire and the
-    /// stage-graph fills that idle time with scoring and substrate
-    /// execution.
+    /// streaming driver, wall-clock and per-model agreement — first at
+    /// pure simulation speed (CPU-bound), then in the latency-realistic
+    /// remote regime (`live_latency_ms`), where generation workers really
+    /// idle on the simulated wire and the streaming driver fills that
+    /// idle time with scoring and substrate execution.
     ///
     /// Both drivers run with **fresh run-local memos** (not the session
     /// cache) so the comparison measures scheduling, not cache warmth.
@@ -146,11 +145,10 @@ impl Experiments {
         variants: &[Variant],
         channel_bound: usize,
         live_latency_ms: u64,
-        prepared: bool,
     ) -> String {
-        let mut out = String::from("Pipeline drivers: barriered vs streamed (stage-graph)\n");
+        let mut out = String::from("Pipeline drivers: barriered vs streamed\n");
         out.push_str(&format!(
-            "variants: {} | stride: {} | workers: {} | channel bound: {} | prepared: {}\n",
+            "variants: {} | stride: {} | workers: {} | channel bound: {}\n",
             variants
                 .iter()
                 .map(|v| v.label())
@@ -159,59 +157,13 @@ impl Experiments {
             self.stride,
             self.workers,
             channel_bound,
-            if prepared { "on" } else { "off" },
         ));
         out.push_str("-- instant generation (CPU-bound) --\n");
-        out.push_str(&self.pipeline_section(variants, channel_bound, None, prepared));
+        out.push_str(&self.pipeline_section(variants, channel_bound, None));
         out.push_str(&format!(
             "-- remote generation ({live_latency_ms} ms live request latency) --\n"
         ));
-        out.push_str(&self.pipeline_section(
-            variants,
-            channel_bound,
-            Some(live_latency_ms),
-            prepared,
-        ));
-        out.push_str("-- prepared A/B (streamed driver, instant generation) --\n");
-        out.push_str(&self.prepared_ab_section(variants, channel_bound));
-        out
-    }
-
-    /// The parse-once A/B: the same streamed grid with the document model
-    /// off (every layer re-parses, the pre-refactor cost profile) and on
-    /// (one parse per candidate, references prepared once per run), with
-    /// the verdict-identity check and one speedup line.
-    fn prepared_ab_section(&self, variants: &[Variant], channel_bound: usize) -> String {
-        let options = |prepared: bool| EvalOptions {
-            variants: variants.to_vec(),
-            workers: self.workers,
-            stride: self.stride,
-            channel_bound,
-            memo: None, // run-local caches: measure parsing, not warmth
-            refs: None,
-            prepared,
-            ..EvalOptions::default()
-        };
-        let mut out = String::new();
-        let mut text_total = 0.0f64;
-        let mut prepared_total = 0.0f64;
-        let mut all_identical = true;
-        for model in &self.models {
-            let started = std::time::Instant::now();
-            let text = evaluate(model, &self.dataset, &options(false));
-            let text_s = started.elapsed().as_secs_f64();
-            let started = std::time::Instant::now();
-            let prep = evaluate(model, &self.dataset, &options(true));
-            let prepared_s = started.elapsed().as_secs_f64();
-            all_identical &= text == prep;
-            text_total += text_s;
-            prepared_total += prepared_s;
-        }
-        out.push_str(&format!(
-            "prepared A/B: text-path {text_total:.2}s | prepared {prepared_total:.2}s | speedup {:.2}x | verdicts {}\n",
-            text_total / prepared_total.max(1e-9),
-            if all_identical { "identical" } else { "DIVERGED" },
-        ));
+        out.push_str(&self.pipeline_section(variants, channel_bound, Some(live_latency_ms)));
         out
     }
 
@@ -220,7 +172,6 @@ impl Experiments {
         variants: &[Variant],
         channel_bound: usize,
         live_latency_ms: Option<u64>,
-        prepared: bool,
     ) -> String {
         let options = EvalOptions {
             variants: variants.to_vec(),
@@ -230,7 +181,6 @@ impl Experiments {
             live_latency_ms,
             memo: None, // run-local memos: measure scheduling, not cache
             refs: None,
-            prepared,
             ..EvalOptions::default()
         };
         let mut out = String::new();
@@ -723,10 +673,9 @@ mod tests {
     #[test]
     fn pipeline_compare_reports_identical_outputs() {
         let e = Experiments::with_workers(48, 4);
-        let out = e.pipeline(&[Variant::Original], 64, 2, true);
+        let out = e.pipeline(&[Variant::Original], 64, 2);
         assert!(out.contains("speedup"), "{out}");
         assert!(out.contains("remote generation"), "{out}");
-        assert!(out.contains("prepared A/B"), "{out}");
         assert!(out.contains("identical"), "{out}");
         assert!(!out.contains("DIVERGED"), "{out}");
     }

@@ -150,9 +150,9 @@ pub fn score_pair(labeled_reference: &str, candidate: &str) -> Scores {
 /// re-parses the labeled reference and the candidate again.
 ///
 /// Kept verbatim as the baseline [`score_pair`] must stay score-identical
-/// to (the `proptest_metrics` suite proves it on arbitrary YAML) and as
-/// the cold-parse side of the `score_engine` benchmark group and the
-/// `repro pipeline --prepared off` A/B path.
+/// to (the `proptest_metrics` suite proves it on arbitrary YAML), as the
+/// scorer of the barriered reference driver `evaluate_barriered`, and as
+/// the cold-parse side of the `score_engine` benchmark group.
 pub fn score_pair_text(labeled_reference: &str, candidate: &str) -> Scores {
     let reference_clean = strip_label_comments(labeled_reference);
     // Text-level metrics compare the cleaned reference against raw output.

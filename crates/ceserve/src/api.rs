@@ -672,7 +672,7 @@ fn batch_stream<S: ResponseSink>(
         .collect::<Result<_, _>>()?;
 
     // Partition: items the response cache already answers stream out
-    // immediately; only the rest enter the stage-graph.
+    // immediately; only the rest enter the judge engine.
     let mut replayed: Vec<(usize, SubmissionVerdict)> = Vec::new();
     let mut fresh_indices: Vec<usize> = Vec::new();
     let mut submissions: Vec<Submission<'_>> = Vec::new();

@@ -17,7 +17,7 @@
 //! |---|---|
 //! | `GET /v1/problems` | The problem corpus (ids, categories, variants) |
 //! | `POST /v1/evaluate` | Score one candidate → full verdict |
-//! | `POST /v1/batch` | Stream many candidates through the stage-graph (chunked) |
+//! | `POST /v1/batch` | Stream many candidates through the judge engine (chunked) |
 //! | `GET /v1/stats` | Memo hit rate, queue depth, per-stage occupancy |
 //!
 //! Request/response bodies ride the same engine as the benchmark itself:

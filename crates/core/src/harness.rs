@@ -1,41 +1,55 @@
 //! The end-to-end benchmark pipeline (Figure 3): dataset → prompt →
 //! query → post-process → score → cloud evaluation.
 //!
-//! Two drivers share one record vocabulary and produce **identical
-//! output**:
+//! Every streaming driver is a configuration of one private judge engine.
+//! A feeder pushes tasks; one CPU pool extracts, parses and statically
+//! scores each task's candidate; [`evalcluster::run_jobs_stream`] judges
+//! its unit test; and a verdict callback either settles the task's slot or
+//! loops a follow-up task back to the CPU pool. Records stream through
+//! independently, so wall-clock tracks the slowest record chain, not the
+//! slowest phase. The configurations:
 //!
-//! * [`evaluate`] — the streaming stage-graph driver: generation
-//!   ([`llmsim::query_stream`]), `extract_yaml` post-processing, static
-//!   scoring ([`cescore::score_pair`] on its own worker pool, off the
-//!   main thread) and substrate execution
-//!   ([`evalcluster::run_jobs_stream`]) all run **concurrently**, records
-//!   flowing between stages over bounded channels
-//!   ([`crate::pipeline`]). Wall-clock tracks the slowest record chain,
-//!   not the slowest phase.
-//! * [`evaluate_barriered`] — the seed phase-barrier driver (all prompts,
-//!   then all extractions, then all unit tests, then serial scoring),
-//!   kept as the reference semantics and the benchmark baseline.
+//! * [`evaluate`] — generation ([`llmsim::query_stream`]) feeds the
+//!   engine, and every verdict settles its record.
+//! * [`evaluate_repair`] — the prompt list feeds the engine, generation
+//!   runs inside each task, and a failing verdict below the round cap
+//!   loops a repair prompt back: the fail–learn–refine edge.
+//! * [`score_submissions_stream`] — submission indices feed the engine,
+//!   and each verdict is emitted the moment it lands.
 //!
-//! Both drivers dedupe unit-test executions by content hash (identical
+//! [`evaluate_barriered`] and [`evaluate_repair_barriered`] keep the
+//! seed's phase barriers as the reference semantics: the streamed drivers
+//! must reproduce their output exactly. [`evaluate_barriered`] also keeps
+//! the text path (every layer re-parses the candidate), so that identity
+//! certifies the parse-once document model too.
+//!
+//! All drivers dedupe unit-test executions by content hash (identical
 //! extracted YAML for the same unit test scores once) and honor
 //! [`EvalOptions::memo`] so verdicts carry across runs.
 
-use std::sync::mpsc::{sync_channel, SyncSender};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{channel, sync_channel};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::time::{Duration, Instant};
 
 use cedataset::{Category, Dataset, Problem, Variant};
 use cescore::{
     score_pair_prepared, score_pair_prepared_with, PreparedDoc, RefCache, ScoreScratch, Scores,
 };
-use evalcluster::executor::{run_jobs_cached, run_jobs_stream, UnitTestJob};
+use evalcluster::executor::{run_jobs_cached, run_jobs_stream, JobResult, UnitTestJob};
 use evalcluster::memo::ScoreMemo;
+use evalcluster::StreamStats;
 use llmsim::{
     extract_yaml, AnswerCategory, FeedbackMode, GenParams, LanguageModel, QueryConfig,
     SimulatedModel,
 };
 use obs::{Span, TraceId};
 
-use crate::pipeline::{Pipeline, Stage, DEFAULT_CHANNEL_BOUND};
+/// Default bound of the job channel between the judge engine's CPU pool
+/// and its substrate pool: deep enough to absorb jitter between the two,
+/// shallow enough that a stalled substrate pool backpressures scoring
+/// within a few hundred records instead of buffering a whole grid.
+pub const DEFAULT_CHANNEL_BOUND: usize = 128;
 
 /// Default unit-test worker count: one per available hardware thread,
 /// clamped to `[2, 32]`.
@@ -96,23 +110,18 @@ pub struct EvalOptions {
     /// the run; supply one `Arc<ScoreMemo>` across runs to carry verdicts
     /// over a whole grid or pass@k sweep.
     pub memo: Option<Arc<ScoreMemo>>,
-    /// Bound of every inter-stage channel in the streaming driver
-    /// (backpressure depth; ignored by [`evaluate_barriered`]).
+    /// Bound of the job channel between scoring and substrate execution
+    /// in the streaming drivers (backpressure depth; ignored by the
+    /// barriered drivers).
     pub channel_bound: usize,
     /// When `Some(ms)`, generation runs in the latency-realistic remote
     /// regime: each request really occupies its query worker for `ms` of
     /// wall-clock ([`QueryConfig::live_latency`]), as a remote API would.
-    /// Applied identically by both drivers (so comparisons stay fair);
-    /// `None` (the default) generates at pure simulation speed.
+    /// Only [`evaluate`] and [`evaluate_barriered`] honor it, identically
+    /// (so their comparison stays fair); the repair drivers call the
+    /// model directly and never sleep. `None` (the default) generates at
+    /// pure simulation speed.
     pub live_latency_ms: Option<u64>,
-    /// Parse-once document model (the default). Each candidate is parsed
-    /// exactly once into a shared [`PreparedDoc`] that flows from the
-    /// scoring stage into substrate execution, and each reference is
-    /// prepared once per [`RefCache`] lifetime. `false` selects the
-    /// pre-refactor text path — every layer re-parses the text — kept as
-    /// the A/B baseline (`repro pipeline --prepared off`); verdicts are
-    /// identical either way.
-    pub prepared: bool,
     /// Shared prepared-reference cache. `None` (the default) uses a
     /// run-local cache — each reference still parses at most once within
     /// the run; supply one `Arc<RefCache>` across runs to parse each
@@ -131,7 +140,6 @@ impl Default for EvalOptions {
             memo: None,
             channel_bound: DEFAULT_CHANNEL_BOUND,
             live_latency_ms: None,
-            prepared: true,
             refs: None,
         }
     }
@@ -157,7 +165,7 @@ impl EvalOptions {
         self.refs.as_deref().unwrap_or(fallback)
     }
 
-    /// The query configuration both drivers dispatch generation with.
+    /// The query configuration both grid drivers dispatch generation with.
     fn query_config(&self) -> QueryConfig {
         QueryConfig {
             parallelism: self.workers.max(1),
@@ -194,10 +202,11 @@ fn plan<'d>(
 }
 
 /// Assembles the final record for one coordinate — shared verbatim by
-/// both drivers so their outputs stay bit-identical. `clean_reference` is
-/// the label-stripped reference: the text driver computes it per record
-/// (the seed behavior), the prepared driver reads it off the session's
-/// [`cescore::PreparedRef`] — the strings are identical by construction.
+/// both grid drivers so their outputs stay bit-identical. `clean_reference`
+/// is the label-stripped reference: the barriered driver computes it per
+/// record (the seed behavior), the streamed driver reads it off the
+/// session's [`cescore::PreparedRef`] — the strings are identical by
+/// construction.
 fn assemble_record(
     model_name: &str,
     problem: &Problem,
@@ -223,86 +232,199 @@ fn assemble_record(
     }
 }
 
-/// §3.1 post-processing as a pipeline stage: raw model output in,
-/// extracted YAML out.
-struct ExtractStage {
-    workers: usize,
+/// What a verdict does to its slot in the judge engine.
+enum Settle<T, O> {
+    /// The slot is finished, with this output.
+    Done(O),
+    /// The slot goes round again with this follow-up task — the repair
+    /// loop-back edge.
+    Again(T),
 }
 
-impl Stage for ExtractStage {
-    type In = String;
-    type Out = String;
-    fn name(&self) -> &'static str {
-        "extract"
+/// The `stage_queue_wait_us` / `stage_service_us` series of one engine
+/// stage, resolved once per run so workers record lock-free.
+struct StageSeries {
+    queue_wait: obs::Histogram,
+    service: obs::Histogram,
+}
+
+impl StageSeries {
+    fn new(stage: &'static str) -> StageSeries {
+        let labels = [("stage", stage)];
+        StageSeries {
+            queue_wait: obs::global().histogram(
+                "stage_queue_wait_us",
+                &labels,
+                "time a stage worker spent blocked waiting for its next record",
+            ),
+            service: obs::global().histogram(
+                "stage_service_us",
+                &labels,
+                "time a stage worker spent processing one record",
+            ),
+        }
     }
-    fn workers(&self) -> usize {
-        self.workers
-    }
-    fn process(&self, _index: usize, raw: String) -> String {
-        extract_yaml(&raw)
+
+    /// Records `waited` as queue wait, then runs `work` timed as service.
+    fn time<R>(&self, waited: Duration, work: impl FnOnce() -> R) -> R {
+        self.queue_wait.record(waited);
+        let started = Instant::now();
+        let out = work();
+        self.service.record(started.elapsed());
+        out
     }
 }
 
-/// Static scoring as a pipeline stage: extracted YAML in, `(yaml, static
-/// scores)` out — scoring runs on this stage's pool, off the main
-/// thread. As a side effect each record's unit-test job is forwarded to
-/// the substrate execution pool the moment the YAML is known, so cloud
-/// evaluation overlaps scoring *and* generation.
-///
-/// In prepared mode (`refs` set) this is where the candidate's
-/// one-and-only parse happens: the [`PreparedDoc`] built here is shared
-/// by `Arc` with the substrate job, and the reference comes pre-parsed
-/// from the [`RefCache`]. In text mode every layer re-parses, exactly
-/// like the seed pipeline.
-struct ScoreStage<'a> {
-    coords: &'a [(&'a Problem, Variant)],
-    /// `Some` → parse-once prepared scoring; `None` → seed text path.
-    refs: Option<&'a RefCache>,
-    jobs: SyncSender<(usize, UnitTestJob)>,
-    workers: usize,
-}
+/// Runs its closure when dropped during a panic: a panicking engine
+/// callback disconnects the task channel, so the other pools drain and the
+/// scope re-raises the panic instead of every pool blocking forever.
+struct CloseOnPanic<'a>(&'a (dyn Fn() + Sync));
 
-impl Stage for ScoreStage<'_> {
-    type In = String;
-    type Out = (String, Scores);
-    fn name(&self) -> &'static str {
-        "score"
-    }
-    fn workers(&self) -> usize {
-        self.workers
-    }
-    fn process(&self, index: usize, yaml: String) -> (String, Scores) {
-        let (problem, variant) = self.coords[index];
-        let problem_id = format!("{}@{variant:?}", problem.id);
-        // Dispatch before scoring: the substrate pool starts while this
-        // thread computes BLEU/edit-distance/kv metrics. A send error
-        // means the execution pool is gone; the collector will flag the
-        // missing verdict.
-        match self.refs {
-            Some(refs) => {
-                let doc = PreparedDoc::shared(yaml);
-                let job =
-                    UnitTestJob::prepared(problem_id, problem.unit_test.clone(), Arc::clone(&doc));
-                let _ = self.jobs.send((index, job));
-                let reference = refs.prepare(&problem.labeled_reference);
-                // Stage workers are long-lived pool threads, so the
-                // thread-local kernel scratch inside score_pair_prepared
-                // is reused across every record this worker scores.
-                let scores = score_pair_prepared(&reference, &doc);
-                (doc.text().to_owned(), scores)
-            }
-            None => {
-                let job = UnitTestJob::new(problem_id, problem.unit_test.clone(), yaml.clone());
-                let _ = self.jobs.send((index, job));
-                let scores = cescore::score_pair_text(&problem.labeled_reference, &yaml);
-                (yaml, scores)
-            }
+impl Drop for CloseOnPanic<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            (self.0)();
         }
     }
 }
 
-/// Runs the full pipeline for one model — the streaming stage-graph
-/// driver.
+/// The streaming judge engine behind [`evaluate`], [`evaluate_repair`] and
+/// [`score_submissions_stream`].
+///
+/// A feeder pushes tasks into an unbounded task channel. One CPU pool of
+/// `min(workers, hw)` threads, each owning one [`ScoreScratch`], turns
+/// every task into `(slot, statics, job)` in two timed steps, `extract`
+/// then `score` (the `stage="extract"` and `stage="score"` latency
+/// series). It parks the statics in the slot and hands the job to
+/// [`run_jobs_stream`] (`workers` threads) over a channel of `bound`
+/// entries. The verdict callback `settle` gets the slot's statics back and
+/// either settles the slot or pushes a follow-up task. A slot holds at
+/// most one task in flight.
+///
+/// The task channel is unbounded so the loop-back cannot deadlock: the
+/// substrate pool never blocks on the CPU pool, so the bounded job channel
+/// always drains. The run ends once the feeder has returned and every task
+/// has settled; the last to settle disconnects the task channel, and the
+/// CPU and substrate pools drain behind it.
+struct Engine<'m> {
+    /// Number of slots; every task's `score` step names one.
+    slots: usize,
+    /// Substrate pool width (the CPU pool is capped at the hardware).
+    workers: usize,
+    /// Bound of the CPU → substrate job channel.
+    bound: usize,
+    memo: &'m ScoreMemo,
+}
+
+impl Engine<'_> {
+    /// Runs the engine to completion: every slot's output in slot order,
+    /// plus the substrate pool's statistics. Panics if a slot never
+    /// settles (the feeder left it without a task).
+    fn run<T, X, S, O>(
+        &self,
+        feed: impl FnOnce(&(dyn Fn(T) + Sync)) + Send,
+        extract: impl Fn(T) -> X + Sync,
+        score: impl Fn(X, &mut ScoreScratch) -> (usize, S, UnitTestJob) + Sync,
+        settle: impl Fn(usize, S, JobResult) -> Settle<T, O> + Sync,
+    ) -> (Vec<O>, StreamStats)
+    where
+        T: Send,
+        S: Send,
+        O: Send + Sync,
+    {
+        let workers = self.workers.max(1);
+        let hw = std::thread::available_parallelism()
+            .map(std::num::NonZeroUsize::get)
+            .unwrap_or(workers);
+        let (task_tx, task_rx) = channel::<T>();
+        let task_tx = Mutex::new(Some(task_tx));
+        let task_rx = Mutex::new(task_rx);
+        let push = |task: T| {
+            if let Some(tx) = task_tx.lock().expect("task sender poisoned").as_ref() {
+                // The receiver outlives every sender: sending cannot fail.
+                let _ = tx.send(task);
+            }
+        };
+        let close = || *task_tx.lock().unwrap_or_else(PoisonError::into_inner) = None;
+        // Open work: the feeder until it returns, plus every pushed task
+        // that has not settled yet.
+        let open = AtomicUsize::new(1);
+        let settle_one = || {
+            if open.fetch_sub(1, Ordering::AcqRel) == 1 {
+                close();
+            }
+        };
+        let parked: Vec<Mutex<Option<S>>> = (0..self.slots).map(|_| Mutex::new(None)).collect();
+        let outputs: Vec<OnceLock<O>> = (0..self.slots).map(|_| OnceLock::new()).collect();
+        let (job_tx, job_rx) = sync_channel::<(usize, UnitTestJob)>(self.bound.max(1));
+        let extract_series = StageSeries::new("extract");
+        let score_series = StageSeries::new("score");
+        let stats = std::thread::scope(|scope| {
+            let (push, close, settle_one) = (&push, &close, &settle_one);
+            let (parked, task_rx, open) = (&parked, &task_rx, &open);
+            let (extract, score) = (&extract, &score);
+            let (extract_series, score_series) = (&extract_series, &score_series);
+            scope.spawn(move || {
+                let _fail = CloseOnPanic(close);
+                feed(&|task| {
+                    open.fetch_add(1, Ordering::Relaxed);
+                    push(task);
+                });
+                settle_one();
+            });
+            for _ in 0..workers.min(hw) {
+                let job_tx = job_tx.clone();
+                scope.spawn(move || {
+                    let _fail = CloseOnPanic(close);
+                    let mut scratch = ScoreScratch::new();
+                    loop {
+                        let idle_from = Instant::now();
+                        let received = task_rx.lock().expect("task receiver poisoned").recv();
+                        let Ok(task) = received else { break };
+                        let x = extract_series.time(idle_from.elapsed(), || extract(task));
+                        // Scoring follows extraction on the same thread:
+                        // there is no handoff to wait on.
+                        let (slot, statics, job) =
+                            score_series.time(Duration::ZERO, || score(x, &mut scratch));
+                        *parked[slot].lock().expect("engine slot poisoned") = Some(statics);
+                        if job_tx.send((slot, job)).is_err() {
+                            break;
+                        }
+                    }
+                });
+            }
+            drop(job_tx);
+            run_jobs_stream(job_rx, workers, self.memo, |slot, result| {
+                let _fail = CloseOnPanic(close);
+                let statics = parked[slot]
+                    .lock()
+                    .expect("engine slot poisoned")
+                    .take()
+                    .expect("statics parked before dispatch");
+                match settle(slot, statics, result) {
+                    Settle::Done(out) => {
+                        assert!(outputs[slot].set(out).is_ok(), "slot {slot} settled twice");
+                        settle_one();
+                    }
+                    Settle::Again(task) => push(task),
+                }
+            })
+        });
+        let outputs = outputs
+            .into_iter()
+            .map(|out| out.into_inner().expect("engine left a slot unsettled"))
+            .collect();
+        (outputs, stats)
+    }
+}
+
+/// Runs the full pipeline for one model — the streaming driver: the judge
+/// engine fed by [`llmsim::query_stream`], whose `workers`-wide pool emits
+/// each response the moment it completes.
+///
+/// Each candidate is parsed exactly once into a shared [`PreparedDoc`]
+/// that flows from static scoring into substrate execution, and each
+/// reference is prepared once per [`RefCache`] lifetime.
 ///
 /// Output is record-for-record identical to [`evaluate_barriered`] (same
 /// `EvalRecord`s in the same order) for any worker count, stride or
@@ -314,89 +436,51 @@ pub fn evaluate(
     options: &EvalOptions,
 ) -> Vec<EvalRecord> {
     let (coords, prompts) = plan(dataset, options);
-    let n = coords.len();
-    let workers = options.workers.max(1);
     let local_memo = ScoreMemo::new();
-    let memo = options.memo_or(&local_memo);
     let local_refs = RefCache::new();
-    let refs = options.prepared.then(|| options.refs_or(&local_refs));
-    let bound = options.channel_bound.max(1);
-
-    let verdicts: Mutex<Vec<Option<bool>>> = Mutex::new(vec![None; n]);
-    let (job_tx, job_rx) = sync_channel::<(usize, UnitTestJob)>(bound);
-    let statics: Vec<(String, Scores)> = std::thread::scope(|scope| {
-        // Substrate execution pool: consumes jobs as scoring emits them.
-        let verdicts = &verdicts;
-        scope.spawn(move || {
-            run_jobs_stream(job_rx, workers, memo, |index, result| {
-                verdicts.lock().expect("verdict slots poisoned")[index] = Some(result.passed);
-            });
-        });
-        // Post-processing + static scoring stages. Extraction is cheap
-        // string peeling — a quarter of the pool suffices; scoring is the
-        // static-metric hot path and gets the full width. Both are pure
-        // CPU, so their pools are additionally capped at the hardware
-        // width: threads beyond the core count only add context switches
-        // (generation and substrate pools keep the requested width — the
-        // former idles on live request latency, the latter is the
-        // user-facing `workers` contract).
-        let hw = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(workers);
-        let pipeline = Pipeline::new(ExtractStage {
-            workers: workers.div_ceil(4).min(hw).max(1),
-        })
-        .then(ScoreStage {
-            coords: &coords,
-            refs,
-            jobs: job_tx,
-            workers: workers.min(hw).max(1),
-        })
-        .channel_bound(bound);
-        // Generation feeds the graph: query_stream's worker pool emits
-        // each response the moment it completes.
-        let statics = pipeline.run_fed(n, |feed| {
-            let feed = Mutex::new(feed);
+    let refs = options.refs_or(&local_refs);
+    let engine = Engine {
+        slots: coords.len(),
+        workers: options.workers,
+        bound: options.channel_bound,
+        memo: options.memo_or(&local_memo),
+    };
+    let (records, _) = engine.run(
+        |push| {
             llmsim::query_stream(
                 model,
                 &prompts,
                 &options.params,
                 &options.query_config(),
-                |index, response| {
-                    // A send error means the pipeline tore down early;
-                    // the collector accounts for the missing record.
-                    let _ = feed
-                        .lock()
-                        .expect("feed sender poisoned")
-                        .send((index, response));
-                },
+                |index, raw| push((index, raw)),
             );
-        });
-        // `pipeline` (and with it the ScoreStage's job sender) drops
-        // here, disconnecting the stream engine so the spawned execution
-        // pool drains and joins at scope exit.
-        drop(pipeline);
-        statics
-    });
-
-    let verdicts = verdicts.into_inner().expect("verdict slots poisoned");
-    coords
-        .into_iter()
-        .zip(statics)
-        .zip(verdicts)
-        .map(|(((problem, variant), (yaml, scores)), passed)| {
-            let passed = passed.expect("substrate pool dropped a verdict");
-            let clean = match refs {
-                // Cache hit: the reference was prepared during scoring.
-                Some(refs) => refs
-                    .prepare(&problem.labeled_reference)
-                    .clean_text()
-                    .to_owned(),
-                None => problem.clean_reference(),
-            };
-            assemble_record(model.name(), problem, variant, &clean, yaml, scores, passed)
-        })
-        .collect()
+        },
+        |(index, raw): (usize, String)| (index, PreparedDoc::shared(extract_yaml(&raw))),
+        |(index, doc), scratch| {
+            let (problem, variant) = coords[index];
+            let reference = refs.prepare(&problem.labeled_reference);
+            let scores = score_pair_prepared_with(&reference, &doc, scratch);
+            let job = UnitTestJob::prepared(
+                format!("{}@{variant:?}", problem.id),
+                problem.unit_test.clone(),
+                Arc::clone(&doc),
+            );
+            (index, (doc, reference, scores), job)
+        },
+        |index, (doc, reference, scores), result| {
+            let (problem, variant) = coords[index];
+            Settle::Done(assemble_record(
+                model.name(),
+                problem,
+                variant,
+                reference.clean_text(),
+                doc.text().to_owned(),
+                scores,
+                result.passed,
+            ))
+        },
+    );
+    records
 }
 
 /// Runs the full pipeline for one model with the seed's phase barriers:
@@ -404,14 +488,14 @@ pub fn evaluate(
 /// test runs before any static metric is computed, and the static
 /// metrics are computed serially on the calling thread — **on the
 /// pre-refactor text path** (every layer re-parses the candidate), which
-/// this driver preserves verbatim regardless of
-/// [`EvalOptions::prepared`].
+/// this driver preserves verbatim as the oracle for the parse-once
+/// document model.
 ///
 /// Kept as the reference semantics [`evaluate`] must reproduce exactly
 /// (the `pipeline_determinism` suite proves record equality, which also
 /// certifies the parse-once document model against the text path), and
 /// as the baseline the `pipeline_engine` bench group and `repro
-/// pipeline` measure the stage-graph against.
+/// pipeline` measure the streaming driver against.
 pub fn evaluate_barriered(
     model: &SimulatedModel,
     dataset: &Dataset,
@@ -578,15 +662,23 @@ fn repair_job(
     }
 }
 
-/// Runs the fail–learn–refine loop on the streaming stage graph: every
+/// One repair-loop task: a coordinate's next attempt, carrying the
+/// attempts before it.
+struct RepairTask {
+    slot: usize,
+    round: usize,
+    prompt: String,
+    attempts: Vec<RepairAttempt>,
+}
+
+/// Runs the fail–learn–refine loop on the judge engine: every
 /// coordinate's first attempt flows through generation → extraction →
-/// static scoring → substrate execution exactly as in [`evaluate`], and a
-/// failing verdict below the round cap **loops back** — the substrate
-/// stage synthesizes taxonomy feedback ([`llmsim::synthesize_feedback`]),
-/// builds the repair prompt, and re-feeds the coordinate to the
-/// generation pool while other records keep streaming. No phase barrier:
-/// one coordinate can be on round 2 while another is still generating
-/// round 0.
+/// static scoring → substrate execution, and a failing verdict below the
+/// round cap **loops back** — the verdict callback synthesizes taxonomy
+/// feedback ([`llmsim::synthesize_feedback`]), builds the repair prompt,
+/// and re-feeds the coordinate to the CPU pool while other records keep
+/// streaming. No phase barrier: one coordinate can be on round 2 while
+/// another is still generating round 0.
 ///
 /// Memo-aware end to end: repeat candidates are answered from the
 /// [`ScoreMemo`], and repair resubmissions (round > 0) re-execute only
@@ -601,194 +693,121 @@ pub fn evaluate_repair(
     rounds: usize,
     feedback: FeedbackMode,
 ) -> RepairReport {
-    use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
     let (coords, prompts) = plan(dataset, options);
-    let n = coords.len();
-    let rounds_per = rounds + 1;
     // Distinct nonce per repair run so span trace ids from concurrent or
     // successive runs never collide (`TraceId::for_record(run, slot)`).
     static RUN_NONCE: AtomicU64 = AtomicU64::new(1);
     let run_nonce = RUN_NONCE.fetch_add(1, Ordering::Relaxed);
-    let workers = options.workers.max(1);
     let local_memo = ScoreMemo::new();
-    let memo = options.memo_or(&local_memo);
     let local_refs = RefCache::new();
     let refs = options.refs_or(&local_refs);
-    if n == 0 {
-        return RepairReport {
-            model: model.name().to_owned(),
-            rounds,
-            feedback,
-            traces: Vec::new(),
-        };
-    }
-
-    // Flat attempt index: slot * (rounds + 1) + round. `statics` is
-    // written by the generation pool strictly before the attempt's job is
-    // dispatched; `outcomes` by the substrate stage's verdict callback.
-    let statics: Vec<Mutex<Option<(String, Scores)>>> =
-        (0..n * rounds_per).map(|_| Mutex::new(None)).collect();
-    type Outcome = (bool, Option<substrate::taxonomy::Diagnosis>);
-    let outcomes: Vec<Mutex<Option<Outcome>>> =
-        (0..n * rounds_per).map(|_| Mutex::new(None)).collect();
-
-    // The loop-back edge: an unbounded task channel in front of the
-    // generation pool. Unbounded is what makes the cycle in the stage
-    // graph deadlock-free — the substrate stage never blocks re-feeding a
-    // failure, so the bounded job channel always drains.
-    let (task_tx, task_rx) = std::sync::mpsc::channel::<(usize, usize, String)>();
-    for (slot, prompt) in prompts.into_iter().enumerate() {
-        task_tx.send((slot, 0, prompt)).expect("fresh channel");
-    }
-    let task_tx = Mutex::new(Some(task_tx));
-    let task_rx = Mutex::new(task_rx);
-    // Coordinates not yet settled (passed, or failed at the round cap).
-    // The last one to settle closes the task channel, draining the
-    // generation pool and with it the whole graph.
-    let outstanding = AtomicUsize::new(n);
-    let (job_tx, job_rx) = sync_channel::<(usize, UnitTestJob)>(options.channel_bound.max(1));
-    let hw = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(workers);
-
-    std::thread::scope(|scope| {
-        let coords = &coords;
-        let statics = &statics;
-        let outcomes = &outcomes;
-        let task_tx = &task_tx;
-        let task_rx = &task_rx;
-        let outstanding = &outstanding;
-        // Substrate execution stage with the loop-back edge.
-        scope.spawn(move || {
-            run_jobs_stream(job_rx, workers, memo, |flat, result| {
-                let (slot, round) = (flat / rounds_per, flat % rounds_per);
-                let diagnosis = result.diagnosis;
-                // The verdict leg of the attempt's trace: round number and
-                // taxonomy bucket, correlated by the shared trace id.
-                let mut verdict_span =
-                    Span::start("repair_verdict", TraceId::for_record(run_nonce, slot));
-                if verdict_span.is_recording() {
-                    verdict_span.tag("round", round.to_string());
-                    verdict_span.tag("passed", result.passed.to_string());
-                    verdict_span.tag(
-                        "bucket",
-                        diagnosis
-                            .as_ref()
-                            .map_or("none", |d| d.bucket.label())
-                            .to_owned(),
-                    );
-                }
-                verdict_span.finish();
-                *outcomes[flat].lock().expect("outcome slot poisoned") =
-                    Some((result.passed, diagnosis.clone()));
-                if !result.passed && round < rounds {
-                    let (problem, variant) = coords[slot];
-                    let prior = statics[flat]
-                        .lock()
-                        .expect("statics slot poisoned")
+    let engine = Engine {
+        slots: coords.len(),
+        workers: options.workers,
+        bound: options.channel_bound,
+        memo: options.memo_or(&local_memo),
+    };
+    let (histories, _) = engine.run(
+        |push| {
+            for (slot, prompt) in prompts.into_iter().enumerate() {
+                push(RepairTask {
+                    slot,
+                    round: 0,
+                    prompt,
+                    attempts: Vec::new(),
+                });
+            }
+        },
+        // Generation runs inside the task: initial and repair attempts
+        // take the same path — a repair request is just a prompt.
+        |task: RepairTask| {
+            // One span per attempt, child spans per stage — the
+            // generation→extraction→scoring path of this round,
+            // correlated with its verdict leg by the trace id.
+            let mut attempt =
+                Span::start("repair_attempt", TraceId::for_record(run_nonce, task.slot));
+            if attempt.is_recording() {
+                attempt.tag("round", task.round.to_string());
+                attempt.tag("problem", coords[task.slot].0.id.clone());
+            }
+            let raw = {
+                let _gen = attempt.child("generate");
+                model.generate(&task.prompt, &options.params)
+            };
+            let doc = {
+                let _extract = attempt.child("extract");
+                PreparedDoc::shared(extract_yaml(&raw))
+            };
+            (task, doc, attempt)
+        },
+        |(task, doc, attempt), scratch| {
+            let (problem, variant) = coords[task.slot];
+            let reference = refs.prepare(&problem.labeled_reference);
+            let scores = {
+                let _score = attempt.child("score");
+                score_pair_prepared_with(&reference, &doc, scratch)
+            };
+            attempt.finish();
+            let job = repair_job(problem, variant, task.round, &doc);
+            (task.slot, (task, doc, scores), job)
+        },
+        |slot, (task, doc, mut scores), result| {
+            let RepairTask {
+                round,
+                mut attempts,
+                ..
+            } = task;
+            let diagnosis = result.diagnosis;
+            // The verdict leg of the attempt's trace: round number and
+            // taxonomy bucket, correlated by the shared trace id.
+            let mut verdict_span =
+                Span::start("repair_verdict", TraceId::for_record(run_nonce, slot));
+            if verdict_span.is_recording() {
+                verdict_span.tag("round", round.to_string());
+                verdict_span.tag("passed", result.passed.to_string());
+                verdict_span.tag(
+                    "bucket",
+                    diagnosis
                         .as_ref()
-                        .expect("statics written before dispatch")
-                        .0
-                        .clone();
-                    let fb = llmsim::synthesize_feedback(diagnosis.as_ref(), feedback);
-                    let prompt = llmsim::repair_prompt(
-                        &problem.prompt_body(variant),
-                        &prior,
-                        &fb,
-                        round + 1,
-                    );
-                    if let Some(tx) = task_tx.lock().expect("task sender poisoned").as_ref() {
-                        let _ = tx.send((slot, round + 1, prompt));
-                    }
-                } else if outstanding.fetch_sub(1, Ordering::AcqRel) == 1 {
-                    *task_tx.lock().expect("task sender poisoned") = None;
-                }
+                        .map_or("none", |d| d.bucket.label())
+                        .to_owned(),
+                );
+            }
+            verdict_span.finish();
+            scores.unit_test = f64::from(u8::from(result.passed));
+            attempts.push(RepairAttempt {
+                round,
+                extracted: doc.text().to_owned(),
+                scores,
+                passed: result.passed,
+                bucket: diagnosis.as_ref().map(|d| d.bucket.label().to_owned()),
+                subject: diagnosis.as_ref().and_then(|d| d.subject.clone()),
             });
-        });
-        // Generation + extraction + static-scoring pool (pure CPU apart
-        // from the simulated generation, capped at the hardware width like
-        // evaluate()'s scoring stage). Initial and repair tasks take the
-        // same path — a repair request is just a prompt.
-        for _ in 0..workers.min(hw).max(1) {
-            let job_tx = job_tx.clone();
-            scope.spawn(move || loop {
-                let task = task_rx.lock().expect("task receiver poisoned").recv();
-                let Ok((slot, round, prompt)) = task else {
-                    break;
-                };
-                let (problem, variant) = coords[slot];
-                // One span per attempt, child spans per stage — the
-                // generation→extraction→scoring path of this round,
-                // correlated with its verdict leg by the trace id.
-                let mut attempt =
-                    Span::start("repair_attempt", TraceId::for_record(run_nonce, slot));
-                if attempt.is_recording() {
-                    attempt.tag("round", round.to_string());
-                    attempt.tag("problem", problem.id.clone());
-                }
-                let raw = {
-                    let _gen = attempt.child("generate");
-                    model.generate(&prompt, &options.params)
-                };
-                let doc = {
-                    let _extract = attempt.child("extract");
-                    PreparedDoc::shared(extract_yaml(&raw))
-                };
-                let reference = refs.prepare(&problem.labeled_reference);
-                let scores = {
-                    let _score = attempt.child("score");
-                    score_pair_prepared(&reference, &doc)
-                };
-                attempt.finish();
-                let flat = slot * rounds_per + round;
-                *statics[flat].lock().expect("statics slot poisoned") =
-                    Some((doc.text().to_owned(), scores));
-                if job_tx
-                    .send((flat, repair_job(problem, variant, round, &doc)))
-                    .is_err()
-                {
-                    break;
-                }
-            });
-        }
-        drop(job_tx);
-    });
-
+            if result.passed || round >= rounds {
+                return Settle::Done(attempts);
+            }
+            let (problem, variant) = coords[slot];
+            let fb = llmsim::synthesize_feedback(diagnosis.as_ref(), feedback);
+            Settle::Again(RepairTask {
+                slot,
+                round: round + 1,
+                prompt: llmsim::repair_prompt(
+                    &problem.prompt_body(variant),
+                    doc.text(),
+                    &fb,
+                    round + 1,
+                ),
+                attempts,
+            })
+        },
+    );
     let traces = coords
         .iter()
-        .enumerate()
-        .map(|(slot, &(problem, variant))| {
-            let mut attempts = Vec::new();
-            for round in 0..rounds_per {
-                let flat = slot * rounds_per + round;
-                let Some((extracted, mut scores)) =
-                    statics[flat].lock().expect("statics slot poisoned").take()
-                else {
-                    break;
-                };
-                let (passed, diagnosis) = outcomes[flat]
-                    .lock()
-                    .expect("outcome slot poisoned")
-                    .take()
-                    .expect("verdict for every dispatched attempt");
-                scores.unit_test = f64::from(u8::from(passed));
-                attempts.push(RepairAttempt {
-                    round,
-                    extracted,
-                    scores,
-                    passed,
-                    bucket: diagnosis.as_ref().map(|d| d.bucket.label().to_owned()),
-                    subject: diagnosis.and_then(|d| d.subject),
-                });
-                if passed {
-                    break;
-                }
-            }
-            RepairTrace {
-                problem_id: problem.id.clone(),
-                variant,
-                attempts,
-            }
+        .zip(histories)
+        .map(|(&(problem, variant), attempts)| RepairTrace {
+            problem_id: problem.id.clone(),
+            variant,
+            attempts,
         })
         .collect();
     RepairReport {
@@ -948,10 +967,10 @@ pub struct SubmissionVerdict {
 /// except `completed`, which accumulates.
 #[derive(Debug, Default)]
 pub struct StageGauges {
-    extracting: std::sync::atomic::AtomicUsize,
-    scoring: std::sync::atomic::AtomicUsize,
-    executing: std::sync::atomic::AtomicUsize,
-    completed: std::sync::atomic::AtomicUsize,
+    extracting: AtomicUsize,
+    scoring: AtomicUsize,
+    executing: AtomicUsize,
+    completed: AtomicUsize,
 }
 
 impl StageGauges {
@@ -962,39 +981,39 @@ impl StageGauges {
 
     /// Submissions currently in §3.1 extraction.
     pub fn extracting(&self) -> usize {
-        self.extracting.load(std::sync::atomic::Ordering::Relaxed)
+        self.extracting.load(Ordering::Relaxed)
     }
 
     /// Submissions currently in static scoring.
     pub fn scoring(&self) -> usize {
-        self.scoring.load(std::sync::atomic::Ordering::Relaxed)
+        self.scoring.load(Ordering::Relaxed)
     }
 
     /// Submissions dispatched to the substrate stage and not yet judged
     /// (queued or executing).
     pub fn executing(&self) -> usize {
-        self.executing.load(std::sync::atomic::Ordering::Relaxed)
+        self.executing.load(Ordering::Relaxed)
     }
 
     /// Total submissions fully judged through these gauges.
     pub fn completed(&self) -> usize {
-        self.completed.load(std::sync::atomic::Ordering::Relaxed)
+        self.completed.load(Ordering::Relaxed)
     }
 }
 
 /// RAII increment/decrement of one gauge.
-struct GaugeGuard<'a>(&'a std::sync::atomic::AtomicUsize);
+struct GaugeGuard<'a>(&'a AtomicUsize);
 
 impl<'a> GaugeGuard<'a> {
-    fn enter(gauge: &'a std::sync::atomic::AtomicUsize) -> GaugeGuard<'a> {
-        gauge.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    fn enter(gauge: &'a AtomicUsize) -> GaugeGuard<'a> {
+        gauge.fetch_add(1, Ordering::Relaxed);
         GaugeGuard(gauge)
     }
 }
 
 impl Drop for GaugeGuard<'_> {
     fn drop(&mut self) {
-        self.0.fetch_sub(1, std::sync::atomic::Ordering::Relaxed);
+        self.0.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
@@ -1088,9 +1107,10 @@ pub fn score_submission_doc(
     )
 }
 
-/// Streams a batch of submissions through the stage-graph: a CPU pool
-/// runs extraction + static scoring, feeding the memo-aware substrate
-/// stage ([`run_jobs_stream`]) over a bounded channel; `emit` fires once
+/// Streams a batch of submissions through the judge engine: the CPU pool
+/// runs extraction + static scoring (parsing each candidate exactly once
+/// into a [`PreparedDoc`] shared with its substrate job), the memo-aware
+/// substrate stage ([`run_jobs_stream`]) judges it, and `emit` fires once
 /// per submission **in completion order** (the submission's index makes
 /// reassembly trivial). Verdicts are identical to calling
 /// [`score_submission`] per item — only the schedule differs.
@@ -1104,116 +1124,72 @@ pub fn score_submissions_stream<F>(
     refs: &RefCache,
     gauges: &StageGauges,
     emit: F,
-) -> evalcluster::StreamStats
+) -> StreamStats
 where
     F: Fn(usize, SubmissionVerdict) + Send + Sync,
 {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    type StaticSlot = (Arc<PreparedDoc>, Scores, bool, Arc<cescore::PreparedRef>);
-    let n = submissions.len();
-    let workers = workers.max(1);
-    let hw = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(workers);
-    // Per-slot static results, written by the scoring pool strictly
-    // before the slot's job is dispatched, read by the verdict callback.
-    let statics: Vec<Mutex<Option<StaticSlot>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let (job_tx, job_rx) = sync_channel::<(usize, UnitTestJob)>(DEFAULT_CHANNEL_BOUND);
-    let next = AtomicUsize::new(0);
-    let stats = Mutex::new(None);
-    std::thread::scope(|scope| {
-        let statics = &statics;
-        let stats = &stats;
-        let emit = &emit;
-        // Substrate execution stage: memo-aware, in-flight-deduplicated.
-        scope.spawn(move || {
-            let run = evalcluster::run_jobs_stream(job_rx, workers, memo, |index, result| {
-                gauges.executing.fetch_sub(1, Ordering::Relaxed);
-                gauges.completed.fetch_add(1, Ordering::Relaxed);
-                let (doc, scores, cached, reference) = statics[index]
-                    .lock()
-                    .expect("statics slot poisoned")
-                    .take()
-                    .expect("statics written before dispatch");
-                let sub = &submissions[index];
-                emit(
-                    index,
-                    assemble_verdict(
-                        sub.problem,
-                        sub.variant,
-                        &reference,
-                        doc.text().to_owned(),
-                        scores,
-                        evalcluster::CachedVerdict {
-                            passed: result.passed,
-                            simulated_ms: result.simulated_ms,
-                            diagnosis: result.diagnosis,
-                        },
-                        cached,
-                    ),
-                );
-            });
-            *stats.lock().expect("stats slot poisoned") = Some(run);
-        });
-        // Extraction + static scoring pool (pure CPU, capped at the
-        // hardware width like evaluate()'s scoring stage). The candidate
-        // is parsed exactly once here — the job carries the same
-        // `Arc<PreparedDoc>` into the substrate stage.
-        for _ in 0..workers.min(hw).max(1) {
-            let job_tx = job_tx.clone();
-            let next = &next;
-            scope.spawn(move || {
-                // One kernel scratch per scoring worker: count tables,
-                // translation buffers, and LCS bit vectors are reused
-                // across every record this worker scores.
-                let mut scratch = ScoreScratch::new();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let sub = &submissions[i];
-                    let doc = {
-                        let _g = GaugeGuard::enter(&gauges.extracting);
-                        let yaml = match &sub.extracted {
-                            Some(done) => done.clone(),
-                            None => extract_yaml(&sub.raw),
-                        };
-                        PreparedDoc::shared(yaml)
-                    };
-                    let reference = refs.prepare(&sub.problem.labeled_reference);
-                    let scores = {
-                        let _g = GaugeGuard::enter(&gauges.scoring);
-                        score_pair_prepared_with(&reference, &doc, &mut scratch)
-                    };
-                    let cached = memo
-                        .peek((
-                            doc.content_hash(),
-                            substrate::content_hash(&sub.problem.unit_test),
-                        ))
-                        .is_some();
-                    let job = UnitTestJob::prepared(
-                        format!("{}@{:?}", sub.problem.id, sub.variant),
-                        sub.problem.unit_test.clone(),
-                        Arc::clone(&doc),
-                    );
-                    *statics[i].lock().expect("statics slot poisoned") =
-                        Some((doc, scores, cached, reference));
-                    gauges.executing.fetch_add(1, Ordering::Relaxed);
-                    // A send error means the execution stage tore down
-                    // early; nothing to do but stop feeding.
-                    if job_tx.send((i, job)).is_err() {
-                        break;
-                    }
-                }
-            });
-        }
-        drop(job_tx);
-    });
+    let engine = Engine {
+        slots: submissions.len(),
+        workers,
+        bound: DEFAULT_CHANNEL_BOUND,
+        memo,
+    };
+    let (_, stats) = engine.run(
+        |push| (0..submissions.len()).for_each(push),
+        |i: usize| {
+            let _g = GaugeGuard::enter(&gauges.extracting);
+            let sub = &submissions[i];
+            let yaml = match &sub.extracted {
+                Some(done) => done.clone(),
+                None => extract_yaml(&sub.raw),
+            };
+            (i, PreparedDoc::shared(yaml))
+        },
+        |(i, doc), scratch| {
+            let sub = &submissions[i];
+            let reference = refs.prepare(&sub.problem.labeled_reference);
+            let scores = {
+                let _g = GaugeGuard::enter(&gauges.scoring);
+                score_pair_prepared_with(&reference, &doc, scratch)
+            };
+            let cached = memo
+                .peek((
+                    doc.content_hash(),
+                    substrate::content_hash(&sub.problem.unit_test),
+                ))
+                .is_some();
+            let job = UnitTestJob::prepared(
+                format!("{}@{:?}", sub.problem.id, sub.variant),
+                sub.problem.unit_test.clone(),
+                Arc::clone(&doc),
+            );
+            gauges.executing.fetch_add(1, Ordering::Relaxed);
+            (i, (doc, scores, cached, reference), job)
+        },
+        |i, (doc, scores, cached, reference), result| {
+            gauges.executing.fetch_sub(1, Ordering::Relaxed);
+            gauges.completed.fetch_add(1, Ordering::Relaxed);
+            let sub = &submissions[i];
+            emit(
+                i,
+                assemble_verdict(
+                    sub.problem,
+                    sub.variant,
+                    &reference,
+                    doc.text().to_owned(),
+                    scores,
+                    evalcluster::CachedVerdict {
+                        passed: result.passed,
+                        simulated_ms: result.simulated_ms,
+                        diagnosis: result.diagnosis,
+                    },
+                    cached,
+                ),
+            );
+            Settle::Done(())
+        },
+    );
     stats
-        .into_inner()
-        .expect("stats slot poisoned")
-        .expect("execution stage always reports")
 }
 
 /// Mean scores over records (a Table 4 row).
@@ -1386,37 +1362,6 @@ mod tests {
     }
 
     #[test]
-    fn prepared_and_text_paths_produce_identical_records() {
-        // The parse-once document model must be invisible in the output:
-        // the same grid through `prepared: false` (every layer re-parses,
-        // the seed cost model) and the default prepared path yields
-        // byte-identical records, and both match the barriered driver.
-        let dataset = Arc::new(Dataset::generate());
-        let model = SimulatedModel::new(
-            ModelProfile::by_name("llama-2-70b-chat").unwrap(),
-            Arc::clone(&dataset),
-        );
-        let base = EvalOptions {
-            stride: 13,
-            workers: 4,
-            variants: vec![Variant::Original, Variant::Simplified],
-            ..EvalOptions::default()
-        };
-        let prepared = evaluate(&model, &dataset, &base);
-        let text = evaluate(
-            &model,
-            &dataset,
-            &EvalOptions {
-                prepared: false,
-                ..base.clone()
-            },
-        );
-        assert_eq!(prepared, text);
-        let barriered = evaluate_barriered(&model, &dataset, &base);
-        assert_eq!(prepared, barriered);
-    }
-
-    #[test]
     fn shared_ref_cache_parses_each_reference_once_per_session() {
         let dataset = Arc::new(Dataset::generate());
         let model = SimulatedModel::new(
@@ -1512,45 +1457,108 @@ mod tests {
         let dup = submissions[1].clone();
         submissions.push(dup);
 
-        let gauges = StageGauges::new();
-        let memo = ScoreMemo::new();
-        let refs = RefCache::new();
-        let collected: Mutex<Vec<Option<SubmissionVerdict>>> =
-            Mutex::new(vec![None; submissions.len()]);
-        let stats = score_submissions_stream(&submissions, 4, &memo, &refs, &gauges, |i, v| {
-            let slot = &mut collected.lock().unwrap()[i];
-            assert!(slot.is_none(), "duplicate emit for {i}");
-            *slot = Some(v);
-        });
-        assert_eq!(stats.executed + stats.cache_hits, submissions.len());
-        assert!(stats.cache_hits >= 1, "duplicate should hit the dedup path");
-
-        // Every stage drained; every submission judged exactly once.
-        assert_eq!(
-            (gauges.extracting(), gauges.scoring(), gauges.executing()),
-            (0, 0, 0)
-        );
-        assert_eq!(gauges.completed(), submissions.len());
-
         let reference_memo = ScoreMemo::new();
         let reference_refs = RefCache::new();
-        for (i, sub) in submissions.iter().enumerate() {
-            let got = collected.lock().unwrap()[i].clone().expect("emitted");
-            let want = score_submission(
-                sub.problem,
-                sub.variant,
-                &sub.raw,
-                &reference_memo,
-                &reference_refs,
+        let want: Vec<SubmissionVerdict> = submissions
+            .iter()
+            .map(|sub| {
+                score_submission(
+                    sub.problem,
+                    sub.variant,
+                    &sub.raw,
+                    &reference_memo,
+                    &reference_refs,
+                )
+            })
+            .collect();
+        assert!(want.iter().any(|v| v.failure_bucket.is_some()));
+
+        for workers in [1, 4, 16] {
+            let gauges = StageGauges::new();
+            let memo = ScoreMemo::new();
+            let refs = RefCache::new();
+            let collected: Mutex<Vec<Option<SubmissionVerdict>>> =
+                Mutex::new(vec![None; submissions.len()]);
+            let stats =
+                score_submissions_stream(&submissions, workers, &memo, &refs, &gauges, |i, v| {
+                    let slot = &mut collected.lock().unwrap()[i];
+                    assert!(slot.is_none(), "duplicate emit for {i}");
+                    *slot = Some(v);
+                });
+            assert_eq!(stats.executed + stats.cache_hits, submissions.len());
+            assert!(stats.cache_hits >= 1, "duplicate should hit the dedup path");
+
+            // Every stage drained; every submission judged exactly once.
+            assert_eq!(
+                (gauges.extracting(), gauges.scoring(), gauges.executing()),
+                (0, 0, 0)
             );
-            // `cached` depends on arrival timing for in-batch duplicates;
-            // everything that matters must agree.
-            assert_eq!(got.scores, want.scores, "{}", sub.problem.id);
-            assert_eq!(got.extracted, want.extracted);
-            assert_eq!(got.passed, want.passed);
-            assert_eq!(got.simulated_ms, want.simulated_ms);
-            assert_eq!(got.answer_class, want.answer_class);
+            assert_eq!(gauges.completed(), submissions.len());
+
+            let collected = collected.into_inner().unwrap();
+            for ((sub, got), want) in submissions.iter().zip(collected).zip(&want) {
+                let got = got.expect("emitted");
+                let id = format!("{} at {workers} workers", sub.problem.id);
+                // `cached` depends on arrival timing for in-batch
+                // duplicates; everything that matters must agree.
+                assert_eq!(got.scores, want.scores, "{id}");
+                assert_eq!(got.extracted, want.extracted, "{id}");
+                assert_eq!(got.passed, want.passed, "{id}");
+                assert_eq!(got.simulated_ms, want.simulated_ms, "{id}");
+                assert_eq!(got.answer_class, want.answer_class, "{id}");
+                assert_eq!(got.failure_bucket, want.failure_bucket, "{id}");
+                assert_eq!(got.score_issue, want.score_issue, "{id}");
+            }
         }
+    }
+
+    #[test]
+    fn empty_plan_returns_empty_output_without_hanging() {
+        let dataset = Arc::new(Dataset::generate());
+        let model = SimulatedModel::new(
+            ModelProfile::by_name("gpt-4").unwrap(),
+            Arc::clone(&dataset),
+        );
+        let options = EvalOptions {
+            variants: vec![],
+            workers: 4,
+            ..EvalOptions::default()
+        };
+        assert!(evaluate(&model, &dataset, &options).is_empty());
+        let report = evaluate_repair(&model, &dataset, &options, 2, FeedbackMode::Full);
+        assert_eq!(report.total(), 0);
+        let gauges = StageGauges::new();
+        let stats = score_submissions_stream(
+            &[],
+            4,
+            &ScoreMemo::new(),
+            &RefCache::new(),
+            &gauges,
+            |i, _| panic!("emitted {i} for an empty batch"),
+        );
+        assert_eq!((stats.executed, stats.cache_hits), (0, 0));
+        assert_eq!(gauges.completed(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "a scoped thread panicked")]
+    fn panicking_stage_fails_the_run_instead_of_hanging() {
+        // One task, two CPU workers: without the engine's panic guard the
+        // idle worker would block on the task channel forever and the run
+        // would hang.
+        let memo = ScoreMemo::new();
+        let engine = Engine {
+            slots: 1,
+            workers: 2,
+            bound: 1,
+            memo: &memo,
+        };
+        let _ = engine.run(
+            |push| push(0),
+            |slot: usize| -> usize { panic!("extract failed on slot {slot}") },
+            |_, _| -> (usize, (), UnitTestJob) { unreachable!() },
+            |_, (), _| -> Settle<usize, ()> { unreachable!() },
+        );
     }
 
     #[test]

@@ -4,11 +4,12 @@
 //! together, plus the §4 analyses.
 //!
 //! * [`harness`] — dataset → prompt → query → §3.1 post-processing → six
-//!   metrics → unit tests on the evaluation cluster, as a streaming
-//!   stage-graph ([`harness::evaluate`]) with the phase-barriered seed
-//!   driver kept as the reference ([`harness::evaluate_barriered`]);
-//! * [`pipeline`] — the composable [`pipeline::Stage`] /
-//!   [`pipeline::Pipeline`] machinery the streaming driver is built on;
+//!   metrics → unit tests on the evaluation cluster. One streaming judge
+//!   engine runs the grid ([`harness::evaluate`]), the fail–learn–refine
+//!   loop ([`harness::evaluate_repair`]) and service batches
+//!   ([`harness::score_submissions_stream`]); the phase-barriered seed
+//!   drivers are kept as the reference ([`harness::evaluate_barriered`],
+//!   [`harness::evaluate_repair_barriered`]);
 //! * [`analysis`] — Figure 6 / Table 9 factor breakdowns and Figure 7
 //!   failure modes;
 //! * [`passk`] — §4.2 multi-sample generation and pass@k;
@@ -39,7 +40,6 @@
 pub mod analysis;
 pub mod harness;
 pub mod passk;
-pub mod pipeline;
 pub mod predict;
 pub mod related;
 pub mod survey;
@@ -50,4 +50,3 @@ pub use harness::{
     mean_scores, pass_count, score_submission, score_submissions_stream, EvalOptions, EvalRecord,
     RepairAttempt, RepairReport, RepairTrace, StageGauges, Submission, SubmissionVerdict,
 };
-pub use pipeline::{Pipeline, Stage};

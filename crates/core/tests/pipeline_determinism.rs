@@ -39,10 +39,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(5))]
 
     /// The core determinism property: streamed output is bit-identical
-    /// to the barriered reference across the scheduling parameter space
-    /// — with the parse-once document model both on (the default; this
-    /// also certifies prepared scoring against the barriered text path)
-    /// and off (pure scheduling comparison).
+    /// to the barriered reference across the scheduling parameter space.
+    /// The streamed driver scores parse-once prepared documents and the
+    /// barriered one re-parses text, so this also certifies the document
+    /// model against the text path.
     #[test]
     fn streamed_evaluate_is_record_identical_to_barriered(
         workers in 1usize..6,
@@ -50,7 +50,6 @@ proptest! {
         bound in 1usize..48,
         model_idx in 0usize..12,
         variant_mask in 1usize..8,
-        prepared in any::<bool>(),
     ) {
         let (dataset, models) = models();
         let model = &models[model_idx % models.len()];
@@ -59,7 +58,6 @@ proptest! {
             stride,
             channel_bound: bound,
             variants: variant_subset(variant_mask),
-            prepared,
             ..EvalOptions::default()
         };
         let streamed = evaluate(model, dataset, &options);
@@ -70,7 +68,7 @@ proptest! {
 
 /// The same property pinned to the adversarial corners proptest's random
 /// draws can miss: single-worker pools, a channel bound of 1 (maximum
-/// backpressure: every stage handoff is a rendezvous), and worker counts
+/// backpressure: every job handoff is a rendezvous), and worker counts
 /// far above the record count.
 #[test]
 fn determinism_holds_at_scheduling_extremes() {

@@ -332,7 +332,7 @@ pub struct StreamStats {
 /// full `&[UnitTestJob]` slice required — and emits each
 /// `(record_index, JobResult)` the moment its verdict is known.
 ///
-/// This is the execution stage of the stage-graph pipeline: upstream
+/// This is the execution stage of the harness's judge engine: upstream
 /// generation/scoring stages feed jobs while earlier jobs are already
 /// running, so substrate execution overlaps every other phase instead of
 /// waiting behind a barrier.

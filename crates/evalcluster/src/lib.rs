@@ -8,7 +8,7 @@
 //!   through the [`substrate::Substrate`] trait on a sharded
 //!   work-stealing scheduler with content-addressed score memoization
 //!   (the seed master/worker queue engine survives as
-//!   [`executor::run_jobs_queue`]; the streaming stage-graph pipeline
+//!   [`executor::run_jobs_queue`]; the harness's streaming judge engine
 //!   consumes jobs as they arrive via [`executor::run_jobs_stream`]);
 //! * [`shard`] — the per-shard queues + work stealing scheduler;
 //! * [`memo`] — the `(candidate, script)` content-addressed verdict cache;

@@ -31,7 +31,7 @@ pub struct QueryConfig {
     /// wall-clock (the worker sleeps through the service time instead of
     /// only modeling it). This reproduces the remote-API regime the paper
     /// runs in — generation threads idle on the network while local CPU
-    /// is free — which is exactly the idle time the streaming stage-graph
+    /// is free — which is exactly the idle time the streaming driver
     /// fills with downstream scoring and substrate execution. Default
     /// `false`: responses return at pure simulation speed.
     pub live_latency: bool,
@@ -90,7 +90,7 @@ impl StreamReport {
 /// each `(prompt_index, response)` the moment it completes instead of
 /// materializing the whole batch.
 ///
-/// This is the streaming entry point the stage-graph pipeline consumes:
+/// This is the streaming entry point the harness's judge engine consumes:
 /// downstream stages (YAML extraction, static scoring, unit-test
 /// execution) start on record 0 while record 1 is still generating.
 /// `emit` is called from the worker threads, concurrently and in
