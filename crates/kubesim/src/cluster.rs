@@ -1,9 +1,16 @@
 //! The in-memory cluster: resource store, simulated clock, and the
 //! controller loops that stand in for kube-controller-manager + kubelet.
 //!
-//! Time is virtual: [`Cluster::advance`] moves the clock and reconciles.
-//! Nothing sleeps for real, so a `kubectl wait --timeout=60s` in a unit
-//! test costs microseconds of wall time.
+//! Time is virtual: [`Cluster::advance`] moves the clock in 250 ms ticks,
+//! and nothing sleeps for real. The clock is event-driven: a tick
+//! reconciles only when the store changed since the last reconcile or a
+//! deadline falls due (a pod's pull, ready or exit time, a LoadBalancer's
+//! or an Ingress's address, a CronJob's first minute), and the last tick
+//! of every `advance` always reconciles. `kubectl wait` and `rollout
+//! status` skip the polls that cannot see a change. So a `kubectl wait
+//! --timeout=60s` on pods that never become ready costs a few reconciles
+//! rather than one per tick, though each reconcile still scans the whole
+//! store.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
@@ -87,6 +94,30 @@ struct PodRuntime {
     unpullable: bool,
 }
 
+/// Simulated time between two controller ticks.
+const TICK_MS: u64 = 250;
+
+/// Bookkeeping of the event-driven clock (see [`Cluster::advance`]).
+#[derive(Debug, Clone, Default)]
+struct Clock {
+    /// Bumped by every store insert or remove. (An apply that updates an
+    /// object in place reconciles at once, so it needs no bump.)
+    epoch: u64,
+    /// `epoch` as it stood when the last reconcile started: a reconcile
+    /// that inserts or removes leaves the next tick due.
+    reconciled_epoch: u64,
+    /// Earliest deadline after the last reconcile; `u64::MAX` when none.
+    /// Zero (a fresh cluster) makes the first tick due.
+    next_deadline_ms: u64,
+    /// Reconciles run so far.
+    #[cfg(test)]
+    reconciles: u64,
+    /// Reconcile every tick and poll every 500 ms, as the clock before
+    /// this one did: the oracle the event-driven clock is tested against.
+    #[cfg(test)]
+    stepwise: bool,
+}
+
 /// The simulated Kubernetes cluster.
 ///
 /// # Examples
@@ -110,7 +141,7 @@ pub struct Cluster {
     resources: BTreeMap<ResourceKey, Resource>,
     namespaces: BTreeSet<String>,
     nodes: Vec<NodeInfo>,
-    pod_runtime: HashMap<ResourceKey, PodRuntime>,
+    pod_runtime: BTreeMap<ResourceKey, PodRuntime>,
     name_counter: u64,
     ip_counter: u32,
     node_port_counter: u16,
@@ -125,6 +156,7 @@ pub struct Cluster {
     /// the same text skips the YAML parse entirely — the candidate is
     /// parsed once per evaluation, not once per layer.
     primed: HashMap<u64, std::sync::Arc<Vec<Yaml>>>,
+    clock: Clock,
 }
 
 impl Default for Cluster {
@@ -148,13 +180,14 @@ impl Cluster {
                 name: "minikube".into(),
                 ip: "192.168.49.2".into(),
             }],
-            pod_runtime: HashMap::new(),
+            pod_runtime: BTreeMap::new(),
             name_counter: 0,
             ip_counter: 1,
             node_port_counter: 30000,
             pull_bandwidth_mbps: 400.0,
             pulls: Vec::new(),
             primed: HashMap::new(),
+            clock: Clock::default(),
         }
     }
 
@@ -178,14 +211,59 @@ impl Cluster {
         self.namespaces.iter().map(String::as_str)
     }
 
-    /// Advances the simulated clock, reconciling controllers as time passes.
+    /// Advances the simulated clock by `ms`, reconciling controllers as
+    /// time passes.
+    ///
+    /// Ticks fall every 250 ms from the current time, plus one at the end
+    /// when `ms` is not a multiple of 250. A tick reconciles when it is
+    /// the last one, when the store changed since the last reconcile, or
+    /// when a deadline has fallen due; the clock jumps over the others. A skipped tick would change nothing but
+    /// condition timestamps: a reconcile that neither inserts nor removes
+    /// is a fixpoint (each controller reads only what it or an earlier
+    /// controller in the same pass writes), every time-dependent rule is
+    /// a deadline, and every reconcile rewrites each condition it keeps
+    /// with the current time, so the last tick restores exact timestamps.
     pub fn advance(&mut self, ms: u64) {
+        #[cfg(test)]
+        if self.clock.stepwise {
+            return self.advance_stepwise(ms);
+        }
+        let target = self.now_ms.saturating_add(ms);
+        while self.now_ms < target {
+            let ticks = (self.next_event_ms() - self.now_ms).div_ceil(TICK_MS);
+            self.now_ms = self
+                .now_ms
+                .saturating_add(ticks.saturating_mul(TICK_MS))
+                .min(target);
+            self.reconcile();
+        }
+    }
+
+    /// The clock before the event-driven one: every tick reconciles.
+    #[cfg(test)]
+    fn advance_stepwise(&mut self, ms: u64) {
         let target = self.now_ms + ms;
         while self.now_ms < target {
-            let step = (target - self.now_ms).min(250);
+            let step = (target - self.now_ms).min(TICK_MS);
             self.now_ms += step;
             self.reconcile();
         }
+    }
+
+    /// The earliest simulated time, after now, at which a reconcile may
+    /// change the store: the next tick while a store mutation is not yet
+    /// reconciled, else the next deadline (`u64::MAX` when there is none).
+    /// Until then every reconcile only restamps condition times, so a
+    /// poll loop may skip its polls before this time.
+    pub(crate) fn next_event_ms(&self) -> u64 {
+        #[cfg(test)]
+        if self.clock.stepwise {
+            return self.now_ms + 1;
+        }
+        if self.clock.epoch != self.clock.reconciled_epoch {
+            return self.now_ms + 1;
+        }
+        self.clock.next_deadline_ms.max(self.now_ms + 1)
     }
 
     /// Creates a namespace.
@@ -347,7 +425,7 @@ impl Cluster {
             if resource.kind == "Pod" {
                 self.track_pod(&resource);
             }
-            self.resources.insert(key.clone(), resource);
+            self.insert_resource(resource);
             "created"
         };
         self.reconcile();
@@ -376,16 +454,22 @@ impl Cluster {
             namespace: ns.to_owned(),
             name: name.to_owned(),
         };
-        if self.resources.remove(&key).is_none() {
+        if !self.remove_resource(&key) {
             return Err(ClusterError::NotFound(format!(
                 "{}.\"{name}\"",
                 kind.to_lowercase()
             )));
         }
-        self.pod_runtime.remove(&key);
         if kind == "Namespace" {
             self.namespaces.remove(name);
-            self.resources.retain(|k, _| k.namespace != name);
+            let runtime = &mut self.pod_runtime;
+            self.resources.retain(|k, _| {
+                let keep = k.namespace != name;
+                if !keep {
+                    runtime.remove(k);
+                }
+                keep
+            });
         }
         self.cascade_delete(&key);
         Ok(format!("{} \"{name}\" deleted", kind.to_lowercase()))
@@ -399,18 +483,61 @@ impl Cluster {
             .map(Resource::key)
             .collect();
         for child in children {
-            self.resources.remove(&child);
-            self.pod_runtime.remove(&child);
+            self.remove_resource(&child);
             self.cascade_delete(&child);
         }
+    }
+
+    /// Inserts or replaces a resource; every store insert goes through
+    /// here so the clock sees it.
+    fn insert_resource(&mut self, r: Resource) {
+        self.clock.epoch += 1;
+        self.resources.insert(r.key(), r);
+    }
+
+    /// Removes a resource and its pod runtime; false when absent. Every
+    /// store remove goes through here so the clock sees it, except the
+    /// sweep of a deleted namespace's contents, which follows the removal
+    /// of the namespace object itself.
+    fn remove_resource(&mut self, key: &ResourceKey) -> bool {
+        self.pod_runtime.remove(key);
+        let removed = self.resources.remove(key).is_some();
+        self.clock.epoch += u64::from(removed);
+        removed
     }
 
     /// Fetches resources by kind with optional namespace and name filters.
     /// `namespace: None` means all namespaces.
     pub fn get(&self, kind: &str, namespace: Option<&str>, name: Option<&str>) -> Vec<Resource> {
+        self.get_matching(kind, namespace, name, None)
+    }
+
+    /// Fetches resources matching a label selector.
+    pub fn select(
+        &self,
+        kind: &str,
+        namespace: Option<&str>,
+        selector: &Selector,
+    ) -> Vec<Resource> {
+        self.get_matching(kind, namespace, None, Some(selector))
+    }
+
+    /// [`Cluster::get`] with an optional label selector. Every filter runs
+    /// before a resource is cloned, so a selector that matches a few pods
+    /// of a large deployment copies only those.
+    pub fn get_matching(
+        &self,
+        kind: &str,
+        namespace: Option<&str>,
+        name: Option<&str>,
+        selector: Option<&Selector>,
+    ) -> Vec<Resource> {
         let kind = canonical_kind(kind).unwrap_or(kind);
+        let selected = |r: &Resource| selector.is_none_or(|s| s.matches(&r.labels));
         if kind == "Node" {
-            return self.node_resources();
+            let mut nodes = self.node_resources();
+            nodes.retain(selected);
+            return nodes;
         }
         self.resources
             .values()
@@ -421,20 +548,8 @@ impl Cluster {
                     || namespace == Some(r.namespace.as_str())
             })
             .filter(|r| name.is_none() || name == Some(r.name.as_str()))
+            .filter(|r| selected(r))
             .cloned()
-            .collect()
-    }
-
-    /// Fetches resources matching a label selector.
-    pub fn select(
-        &self,
-        kind: &str,
-        namespace: Option<&str>,
-        selector: &Selector,
-    ) -> Vec<Resource> {
-        self.get(kind, namespace, None)
-            .into_iter()
-            .filter(|r| selector.matches(&r.labels))
             .collect()
     }
 
@@ -516,11 +631,7 @@ impl Cluster {
             }
             "Pod" => self.validate_pod_spec(r, &["spec"])?,
             "Service" => {
-                let svc_type = r
-                    .body
-                    .get_path(&["spec", "type"])
-                    .map(|t| t.render_scalar())
-                    .unwrap_or_else(|| "ClusterIP".to_owned());
+                let svc_type = service_type(r);
                 let ports = r
                     .body
                     .get_path(&["spec", "ports"])
@@ -628,7 +739,10 @@ impl Cluster {
     // Controllers
     // -----------------------------------------------------------------
 
+    /// One pass of every controller at the current time, then the clock's
+    /// bookkeeping: the epoch the pass started from and the next deadline.
     fn reconcile(&mut self) {
+        let epoch = self.clock.epoch;
         self.reconcile_deployments();
         self.reconcile_replicasets();
         self.reconcile_daemonsets();
@@ -641,6 +755,38 @@ impl Cluster {
         self.reconcile_ingresses();
         self.reconcile_hpas();
         self.reconcile_istio();
+        self.clock.reconciled_epoch = epoch;
+        self.clock.next_deadline_ms = self.next_deadline();
+        #[cfg(test)]
+        {
+            self.clock.reconciles += 1;
+        }
+    }
+
+    /// The earliest time after now at which a controller's output changes
+    /// with no store mutation: a pullable pod's pull, ready or exit time, a
+    /// LoadBalancer Service's address (+2 s), an Ingress's address (+1 s),
+    /// a CronJob's first minute boundary. `u64::MAX` when there is none.
+    fn next_deadline(&self) -> u64 {
+        let pods = self
+            .pod_runtime
+            .values()
+            .filter(|rt| !rt.unpullable)
+            .flat_map(|rt| [Some(rt.pull_done_ms), Some(rt.ready_ms), rt.terminates_ms])
+            .flatten();
+        let objects = self
+            .resources
+            .values()
+            .filter_map(|r| match r.kind.as_str() {
+                "Service" if service_type(r) == "LoadBalancer" => Some(r.created_at_ms + 2_000),
+                "Ingress" => Some(r.created_at_ms + 1_000),
+                "CronJob" => Some((r.created_at_ms / 60_000 + 1) * 60_000),
+                _ => None,
+            });
+        pods.chain(objects)
+            .filter(|&t| t > self.now_ms)
+            .min()
+            .unwrap_or(u64::MAX)
     }
 
     fn fresh_suffix(&mut self) -> String {
@@ -691,7 +837,7 @@ impl Cluster {
                 .map(Resource::key)
                 .collect();
             for key in stale {
-                self.resources.remove(&key);
+                self.remove_resource(&key);
                 self.cascade_delete(&key);
             }
             let mut body = yamlkit::ymap! {
@@ -715,7 +861,7 @@ impl Cluster {
                     .insert("template", template.clone());
             }
             let r = Resource::from_yaml(body, &d.namespace, self.now_ms).expect("rs body");
-            self.resources.insert(r.key(), r);
+            self.insert_resource(r);
         }
     }
 
@@ -740,8 +886,7 @@ impl Cluster {
                 .collect();
             while children.len() > desired {
                 let key = children.pop().expect("len checked");
-                self.resources.remove(&key);
-                self.pod_runtime.remove(&key);
+                self.remove_resource(&key);
             }
             let missing = desired - children.len();
             for _ in 0..missing {
@@ -822,8 +967,7 @@ impl Cluster {
                 .map(Resource::key)
                 .collect();
             for key in extra {
-                self.resources.remove(&key);
-                self.pod_runtime.remove(&key);
+                self.remove_resource(&key);
             }
         }
     }
@@ -892,7 +1036,7 @@ impl Cluster {
                 "spec" => job_spec.clone(),
             };
             if let Ok(r) = Resource::from_yaml(body, &cj.namespace, self.now_ms) {
-                self.resources.insert(r.key(), r);
+                self.insert_resource(r);
             }
         }
     }
@@ -935,7 +1079,7 @@ impl Cluster {
         let r = Resource::from_yaml(body, &owner.namespace, self.now_ms).ok()?;
         let key = r.key();
         self.track_pod(&r);
-        self.resources.insert(key.clone(), r);
+        self.insert_resource(r);
         Some(key)
     }
 
@@ -1200,11 +1344,7 @@ impl Cluster {
             let now = self.now_ms;
             let created = svc.created_at_ms;
             let key = svc.key();
-            let svc_type = svc
-                .body
-                .get_path(&["spec", "type"])
-                .map(|t| t.render_scalar())
-                .unwrap_or_else(|| "ClusterIP".to_owned());
+            let svc_type = service_type(&svc);
             // Assign stable virtual IPs/ports once.
             let needs_cluster_ip = {
                 let r = self.resources.get(&key).expect("svc key");
@@ -1333,6 +1473,39 @@ impl Cluster {
             r.set_condition("Reconciled", true, now);
         }
     }
+}
+
+#[cfg(test)]
+impl Cluster {
+    /// A fresh cluster on the stepwise oracle clock.
+    pub(crate) fn new_stepwise() -> Cluster {
+        let mut cluster = Cluster::new();
+        cluster.clock.stepwise = true;
+        cluster
+    }
+
+    /// Reconciles run so far.
+    pub(crate) fn reconciles(&self) -> u64 {
+        self.clock.reconciles
+    }
+
+    /// `Debug` of everything but the clock's bookkeeping: the state two
+    /// clocks must agree on.
+    pub(crate) fn state_debug(&self) -> String {
+        let state = Cluster {
+            clock: Clock::default(),
+            ..self.clone()
+        };
+        format!("{state:?}")
+    }
+}
+
+/// A Service's `spec.type`, `ClusterIP` when unset.
+fn service_type(svc: &Resource) -> String {
+    svc.body
+        .get_path(&["spec", "type"])
+        .map(Yaml::render_scalar)
+        .unwrap_or_else(|| "ClusterIP".to_owned())
 }
 
 /// `metadata.ownerReferences` entry.
@@ -1736,6 +1909,28 @@ spec:
         );
         // Re-applying the existing pod is an update, not a new creation.
         c.apply_manifest(&pod("one"), "default").unwrap();
+    }
+
+    #[test]
+    fn namespace_delete_drops_its_pod_runtimes() {
+        let mut c = Cluster::new();
+        c.apply_manifest(
+            "apiVersion: v1\nkind: Namespace\nmetadata:\n  name: dev\n",
+            "default",
+        )
+        .unwrap();
+        let in_dev = NGINX_DEPLOY.replace("name: nginx-deployment", "name: d\n  namespace: dev");
+        c.apply_manifest(&in_dev, "default").unwrap();
+        c.apply_manifest(NGINX_DEPLOY, "default").unwrap();
+        c.advance(250);
+        assert_eq!(c.pod_runtime.len(), 6);
+        c.delete("namespace", "", "dev").unwrap();
+        assert!(c.pod_runtime.keys().all(|k| k.namespace == "default"));
+        assert_eq!(c.pod_runtime.len(), 3);
+        // Once the default pods are ready, nothing is left to wake for:
+        // no deadline of a deleted pod lingers.
+        c.advance(15_000);
+        assert_eq!(c.next_event_ms(), u64::MAX);
     }
 
     #[test]

@@ -397,13 +397,13 @@ fn lookup_resources(
     } else {
         Some(ns)
     };
-    let mut resources = cluster.get(kind, namespace, name.as_deref());
-    if let Some(sel) = &flags.selector {
-        match Selector::parse_cli(sel) {
-            Ok(s) => resources.retain(|r| s.matches(&r.labels)),
-            Err(e) => return Err(KubectlResult::err(format!("error: {e}"), 1)),
-        }
-    }
+    let selector = flags
+        .selector
+        .as_deref()
+        .map(Selector::parse_cli)
+        .transpose()
+        .map_err(|e| KubectlResult::err(format!("error: {e}"), 1))?;
+    let resources = cluster.get_matching(kind, namespace, name.as_deref(), selector.as_ref());
     if let Some(n) = &name {
         if resources.is_empty() {
             return Err(KubectlResult::err(
@@ -694,7 +694,7 @@ fn wait_cmd(cluster: &mut Cluster, flags: &Flags, ns: &str) -> KubectlResult {
                 if cluster.now_ms() >= deadline {
                     return e;
                 }
-                cluster.advance(500);
+                advance_to_next_poll(cluster, deadline);
                 continue;
             }
         };
@@ -725,8 +725,23 @@ fn wait_cmd(cluster: &mut Cluster, flags: &Flags, ns: &str) -> KubectlResult {
                 1,
             );
         }
-        cluster.advance(500);
+        advance_to_next_poll(cluster, deadline);
     }
+}
+
+/// Simulated time between two polls of `wait` and `rollout status`.
+const POLL_MS: u64 = 500;
+
+/// Advances to the next poll that can see a different cluster. A poll
+/// before [`Cluster::next_event_ms`] would see what the last poll saw,
+/// so it is skipped; the clock lands on the same 500 ms poll grid, and
+/// never past the first poll at or after `deadline`, where the caller
+/// times out.
+fn advance_to_next_poll(cluster: &mut Cluster, deadline: u64) {
+    let now = cluster.now_ms();
+    let until = cluster.next_event_ms().min(deadline);
+    let polls = until.saturating_sub(now).div_ceil(POLL_MS).max(1);
+    cluster.advance(polls.saturating_mul(POLL_MS));
 }
 
 /// Case-insensitive condition check with the aliases kubectl accepts.
@@ -1159,7 +1174,7 @@ fn rollout_cmd(cluster: &mut Cluster, flags: &Flags, ns: &str) -> KubectlResult 
         if cluster.now_ms() >= deadline {
             return KubectlResult::err("error: deployment exceeded its progress deadline", 1);
         }
-        cluster.advance(500);
+        advance_to_next_poll(cluster, deadline);
     }
 }
 
@@ -1375,6 +1390,28 @@ mod tests {
         let r = run(&mut c, &argv("get frobnicators"), "", &no_fs);
         assert_eq!(r.code, 1);
         assert!(r.stderr.contains("doesn't have a resource type"));
+    }
+
+    #[test]
+    fn wait_skips_idle_polls_up_to_a_huge_timeout() {
+        let mut c = Cluster::new();
+        run(
+            &mut c,
+            &argv("apply -f -"),
+            "apiVersion: v1\nkind: Pod\nmetadata:\n  name: bad\nspec:\n  containers:\n  - name: c\n    image: no-such-image:v1\n",
+            &no_fs,
+        );
+        // 10^19 ms is 2 * 10^16 polls: only the polls that can see a
+        // change run, and the clock stops at the timeout poll.
+        let r = run(
+            &mut c,
+            &argv("wait --for=condition=Ready pod/bad --timeout=10000000000000000000ms"),
+            "",
+            &no_fs,
+        );
+        assert_eq!(r.code, 1);
+        assert!(r.stderr.contains("timed out"), "{r:?}");
+        assert_eq!(c.now_ms(), 10_000_000_000_000_000_000);
     }
 
     #[test]

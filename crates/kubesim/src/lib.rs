@@ -18,7 +18,8 @@
 //! * [`net::curl`] — simulated cluster networking for functional probes.
 //!
 //! Time is virtual: `kubectl wait --timeout=60s` advances the simulated
-//! clock, so a full unit-test run costs microseconds of wall time.
+//! clock, nothing sleeps for real, and the clock reconciles only at ticks
+//! where the cluster can change (see [`Cluster::advance`]).
 //!
 //! # Examples
 //!
@@ -39,6 +40,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+#[cfg(test)]
+mod clock_oracle;
 pub mod cluster;
 pub mod images;
 pub mod kubectl;
