@@ -37,6 +37,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod anchor;
+#[cfg(test)]
+mod anchor_oracle;
 pub mod corrupt;
 pub mod difficulty;
 mod model;

@@ -8,7 +8,6 @@
 //! scoring, unit testing — therefore runs exactly as it would against a
 //! remote API.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
@@ -16,6 +15,7 @@ use rand::{Rng, SeedableRng};
 
 use cedataset::{Dataset, Problem, Variant};
 
+use crate::anchor::AnchorIndex;
 use crate::corrupt::{answer_seed, realize, AnswerCategory};
 use crate::difficulty::{calibrate_alpha, dataset_difficulties, pass_probability};
 use crate::profiles::ModelProfile;
@@ -69,35 +69,66 @@ pub trait LanguageModel: Send + Sync {
     fn generate(&self, prompt: &str, params: &GenParams) -> String;
 }
 
+/// Shot counts the benchmark calibrates (0–3).
+const SHOT_COUNTS: usize = 4;
+
 /// A simulated benchmark model with a calibrated capability profile.
 pub struct SimulatedModel {
     profile: ModelProfile,
     dataset: Arc<Dataset>,
-    difficulties: Vec<f64>,
-    /// α per (variant, shots), calibrated lazily at construction for the
-    /// shot counts the benchmark uses (0–3).
-    alphas: HashMap<(Variant, usize), f64>,
+    /// Distinct rows of per-problem pass probabilities, `dataset.len()`
+    /// each: settings with the same calibrated pass target share a row.
+    pass_rows: Vec<f64>,
+    /// Row of `pass_rows` per (variant, shots ≤ 3), in (`Variant::ALL`,
+    /// shots) order.
+    row_of: [usize; Variant::ALL.len() * SHOT_COUNTS],
+    /// Recognizes the problem a prompt asks about; models over one
+    /// dataset may share it.
+    anchors: Arc<AnchorIndex>,
 }
 
 impl SimulatedModel {
     /// Builds a simulated model over a dataset.
     pub fn new(profile: ModelProfile, dataset: Arc<Dataset>) -> SimulatedModel {
+        let anchors = Arc::new(AnchorIndex::new(dataset.problems()));
+        SimulatedModel::with_anchors(profile, dataset, anchors)
+    }
+
+    /// Builds a simulated model whose anchor index was built from
+    /// `dataset`'s problems.
+    fn with_anchors(
+        profile: ModelProfile,
+        dataset: Arc<Dataset>,
+        anchors: Arc<AnchorIndex>,
+    ) -> SimulatedModel {
         let difficulties = dataset_difficulties(&dataset, profile.tier);
-        let mut alphas = HashMap::new();
+        let mut pass_rows = Vec::new();
+        let mut row_targets: Vec<Option<usize>> = Vec::new();
+        let mut row_of = [0; Variant::ALL.len() * SHOT_COUNTS];
         for variant in Variant::ALL {
-            for shots in 0..=3 {
-                let alpha = match profile.target_passes(variant, shots) {
-                    Some(t) if t > 0 => calibrate_alpha(&difficulties, t),
-                    _ => f64::NEG_INFINITY,
+            for shots in 0..SHOT_COUNTS {
+                // α = −∞ (every probability 0) for no target or a target of 0.
+                let target = profile.target_passes(variant, shots).filter(|&t| t > 0);
+                let row = match row_targets.iter().position(|&t| t == target) {
+                    Some(row) => row,
+                    None => {
+                        let alpha =
+                            target.map_or(f64::NEG_INFINITY, |t| calibrate_alpha(&difficulties, t));
+                        pass_rows.extend(difficulties.iter().map(|&d| pass_probability(alpha, d)));
+                        row_targets.push(target);
+                        row_targets.len() - 1
+                    }
                 };
-                alphas.insert((variant, shots), alpha);
+                // `variant as usize` is the variant's position in `Variant::ALL`.
+                row_of[variant as usize * SHOT_COUNTS + shots] = row;
             }
         }
         SimulatedModel {
             profile,
             dataset,
-            difficulties,
-            alphas,
+            pass_rows,
+            row_of,
+            anchors,
         }
     }
 
@@ -106,36 +137,47 @@ impl SimulatedModel {
         &self.profile
     }
 
-    /// Pass probability for a problem index under a variant/shots setting.
+    /// Pass probability for a problem index under a variant/shots setting
+    /// (0 beyond the calibrated shot counts 0–3).
     pub fn pass_probability(&self, problem_index: usize, variant: Variant, shots: usize) -> f64 {
-        let alpha = self
-            .alphas
-            .get(&(variant, shots))
-            .copied()
-            .unwrap_or(f64::NEG_INFINITY);
-        pass_probability(alpha, self.difficulties[problem_index])
+        if shots < SHOT_COUNTS {
+            self.pass_row(variant, shots)[problem_index]
+        } else {
+            0.0
+        }
+    }
+
+    /// Pass probabilities of every problem under one (variant, shots ≤ 3)
+    /// setting, in problem order.
+    fn pass_row(&self, variant: Variant, shots: usize) -> &[f64] {
+        let n = self.dataset.len();
+        let row = self.row_of[variant as usize * SHOT_COUNTS + shots];
+        &self.pass_rows[row * n..(row + 1) * n]
     }
 
     /// Identifies (problem, variant, shots) from prompt text: the prompt
     /// embeds one of the three per-variant descriptions, and each few-shot
-    /// exemplar adds an `Example question:` header.
+    /// exemplar adds an `Example question:` header (counted up to 3).
+    ///
+    /// The problem and variant are those of the longest description the
+    /// prompt contains, ties going to the first in (problem index,
+    /// `Variant::ALL`) order; the longest match keeps a description that
+    /// contains another from being read as the shorter one.
+    ///
+    /// An [`AnchorIndex`] finds them. Every non-empty description is at
+    /// least `m` bytes long (`m` = the shortest; 117 on the 337-problem
+    /// set), so every contained description starts at a prompt window
+    /// whose `m`-byte hash equals that of its own first `m` bytes; the
+    /// index checks each hash hit with `starts_with`, so collisions
+    /// cannot produce a false match. The cost is one rolling-hash pass
+    /// over the prompt plus one `starts_with` per hit, independent of the
+    /// number of problems: under 10 µs for a 1 kB prompt (release build,
+    /// 2-vCPU x86-64 Xeon), where a `str::contains` per description costs
+    /// 1.3–2.0 ms over the 1,011 descriptions.
     fn identify<'d>(&'d self, prompt: &str) -> Option<(usize, &'d Problem, Variant, usize)> {
-        let shots = prompt.matches("Example question:").count().min(3);
-        // The question body is the suffix after the last exemplar, so scan
-        // descriptions longest-first to avoid prefix collisions.
-        let mut best: Option<(usize, &Problem, Variant, usize)> = None;
-        for (idx, p) in self.dataset.problems().iter().enumerate() {
-            for variant in Variant::ALL {
-                let d = p.description_for(variant);
-                if !d.is_empty() && prompt.contains(d) {
-                    let len = d.len();
-                    if best.map(|(_, _, _, l)| len > l).unwrap_or(true) {
-                        best = Some((idx, p, variant, len));
-                    }
-                }
-            }
-        }
-        best.map(|(i, p, v, _)| (i, p, v, shots))
+        let problems = self.dataset.problems();
+        let (idx, variant, shots) = self.anchors.recognize(problems, prompt)?;
+        Some((idx, &problems[idx], variant, shots))
     }
 
     /// Draws the answer category via **systematic sampling**: problems are
@@ -156,20 +198,27 @@ impl SimulatedModel {
         jitter: f64,
     ) -> AnswerCategory {
         let mut rng = StdRng::seed_from_u64(seed);
-        let n = self.dataset.len() as u64;
+        let probs = self.pass_row(variant, shots);
+        let n = probs.len() as u64;
         // Per-group permutation of the line order (n = 337 is prime, so
-        // any multiplier in 1..n generates a permutation).
+        // any multiplier in 1..n generates a permutation): problem j sits
+        // at (a·j + b) mod n.
         let a = group_seed % (n - 1) + 1;
         let b = (group_seed >> 32) % n;
-        let pos = |j: u64| -> u64 { (a * j + b) % n };
-        let my_pos = pos(problem_index as u64);
+        let my_pos = (a * problem_index as u64 + b) % n;
+        // Sum in problem order, stepping the position by a mod n.
         let mut c_lo = 0.0f64;
-        for j in 0..n {
-            if pos(j) < my_pos {
-                c_lo += self.pass_probability(j as usize, variant, shots);
+        let mut pos = b;
+        for &p in probs {
+            if pos < my_pos {
+                c_lo += p;
+            }
+            pos += a;
+            if pos >= n {
+                pos -= n;
             }
         }
-        let p = self.pass_probability(problem_index, variant, shots);
+        let p = probs[problem_index];
         // Temperature jitter scales the effective ability window by up to
         // ±TEMPERATURE_JITTER; over k samples only the best draw matters,
         // so pass@k saturates at ≈(1 + TEMPERATURE_JITTER)·pass@1 — the
@@ -299,10 +348,7 @@ impl SimulatedModel {
             return self.generate_repair(problem, variant, &repair);
         }
         // PaLM-2's API is English-only at submission time (Table 4 note).
-        if self.alphas.get(&(variant, shots)).copied() == Some(f64::NEG_INFINITY)
-            && variant == Variant::Translated
-            && self.profile.passes_translated.is_none()
-        {
+        if variant == Variant::Translated && self.profile.passes_translated.is_none() {
             return "I'm sorry, I can only assist with requests in English at this time.\nPlease translate your question and try again.\nThank you for your understanding.\nRegards.".to_owned();
         }
         // Greedy decoding is deterministic: every sample at temperature 0
@@ -346,11 +392,13 @@ impl SimulatedModel {
     }
 }
 
-/// Builds all 12 simulated models over a shared dataset.
+/// Builds all 12 simulated models over a shared dataset (and one shared
+/// anchor index).
 pub fn standard_models(dataset: Arc<Dataset>) -> Vec<SimulatedModel> {
+    let anchors = Arc::new(AnchorIndex::new(dataset.problems()));
     crate::profiles::all_models()
         .into_iter()
-        .map(|p| SimulatedModel::new(p, Arc::clone(&dataset)))
+        .map(|p| SimulatedModel::with_anchors(p, Arc::clone(&dataset), Arc::clone(&anchors)))
         .collect()
 }
 
