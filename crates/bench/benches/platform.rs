@@ -34,55 +34,6 @@ fn bench_executor_scaling(c: &mut Criterion) {
     group.finish();
 }
 
-/// Seed queue engine vs the sharded work-stealing + memo engine on the
-/// same workload — the scoring-throughput number the ROADMAP tracks.
-///
-/// Two workload shapes: `distinct` (every candidate unique, measures pure
-/// scheduling overhead) and `passk` (4 samples per problem where weak
-/// models repeat answers, measures the content-addressed cache too).
-fn bench_executor_engines(c: &mut Criterion) {
-    let distinct = executor_jobs(96);
-    // pass@k-shaped: each problem appears 4x; half the samples are
-    // identical to sample 0 (models converge on the same answer).
-    let passk: Vec<evalcluster::UnitTestJob> = executor_jobs(24)
-        .into_iter()
-        .flat_map(|job| {
-            (0..4).map(move |sample| {
-                if sample % 2 == 1 {
-                    evalcluster::UnitTestJob::new(
-                        format!("{}#{sample}", job.problem_id),
-                        job.script.clone(),
-                        format!("{}# sample {sample}\n", job.candidate_yaml()),
-                    )
-                } else {
-                    let mut j = job.clone();
-                    j.problem_id = format!("{}#{sample}", j.problem_id);
-                    j
-                }
-            })
-        })
-        .collect();
-    let mut group = c.benchmark_group("executor_engine");
-    group.sample_size(10);
-    for (label, jobs) in [("distinct", &distinct), ("passk", &passk)] {
-        group.bench_with_input(
-            BenchmarkId::new("queue_seed", label),
-            jobs,
-            |b, jobs: &Vec<evalcluster::UnitTestJob>| {
-                b.iter(|| evalcluster::run_jobs_queue(black_box(jobs), 8))
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("sharded_memo", label),
-            jobs,
-            |b, jobs: &Vec<evalcluster::UnitTestJob>| {
-                b.iter(|| evalcluster::run_jobs(black_box(jobs), 8))
-            },
-        );
-    }
-    group.finish();
-}
-
 fn bench_des(c: &mut Criterion) {
     let jobs = evalcluster::dataset_workload(evalcluster::des::DEFAULT_OVERHEAD_S);
     c.bench_function("des_simulate_64_workers_1011_jobs", |b| {
@@ -181,7 +132,6 @@ fn bench_postprocess(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_executor_scaling,
-    bench_executor_engines,
     bench_des,
     bench_query_module,
     bench_predictor,

@@ -194,7 +194,6 @@ pub fn score_report() -> String {
 /// through this table.
 pub const ENGINE_BENCHES: &[(&str, &str, &str)] = &[
     ("parse", "parse_engine", "BENCH_parse.json"),
-    ("platform", "executor_engine", "BENCH_executor.json"),
     ("pipeline", "pipeline_engine", "BENCH_pipeline.json"),
     ("scoring", "score_engine", "BENCH_score.json"),
     ("repair", "repair_engine", "BENCH_repair.json"),

@@ -612,7 +612,7 @@ fn stats_body(service: &Service) -> String {
 
 /// `GET /v1/metrics`: Prometheus text exposition — this service's
 /// `http_*` series followed by the process-wide engine series
-/// (`stage_*`, `shard_*`, `memo_*`, `substrate_*`, `llm_*`). The two
+/// (`stage_*`, `memo_*`, `substrate_*`, `llm_*`). The two
 /// registries use disjoint metric names, so the concatenation never
 /// duplicates a series.
 fn metrics_body(service: &Service) -> String {

@@ -2,7 +2,7 @@
 //! readiness-driven **event loop** (accept + parse + flush over the
 //! [`crate::poll`] readiness shim and a generation-tagged connection slab),
 //! and a fixed scoring **worker pool** (`std::thread::scope`, the same
-//! scoped-pool discipline as `evalcluster::shard`) handles the slow
+//! scoped-pool discipline as `evalcluster::run_jobs_stream`) handles the slow
 //! endpoints, re-arming connections through a completion channel.
 //! Thread count is `workers + 1` regardless of how many connections are
 //! open — thousands of idle keep-alive connections cost slab slots, not

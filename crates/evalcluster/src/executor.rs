@@ -1,31 +1,26 @@
 //! The parallel unit-test executor: the live counterpart of §3.3's
 //! "Scalable Evaluation Cluster".
 //!
-//! Two execution engines share one job/result vocabulary:
-//!
-//! * [`run_jobs`] — the production engine: a sharded work-stealing
-//!   scheduler ([`crate::shard`]) driving the [`substrate::Substrate`]
-//!   trait, with a content-addressed score memo ([`crate::memo`]) so
-//!   identical `(candidate, script)` pairs — ubiquitous under pass@k
-//!   sampling — execute exactly once;
-//! * [`run_jobs_queue`] — the §3.3-faithful master/worker pattern over the
-//!   [`crate::MiniRedis`] blocking queue, kept as
-//!   the distributed-deployment reference model and as the benchmark
-//!   baseline the sharded engine is measured against.
+//! One scheduler runs every job: [`run_jobs_stream`] pulls
+//! `(record_index, job)` pairs from a channel as they arrive, executes
+//! them through the [`substrate::Substrate`] trait, and consults a
+//! content-addressed score memo ([`crate::memo`]) so identical
+//! `(candidate, script)` pairs — ubiquitous under pass@k sampling —
+//! execute exactly once. [`run_jobs_cached`] (and [`run_jobs`], with a
+//! run-local memo) is its batch form: it queues a slice of jobs into the
+//! stream and collects the results back into input order.
 //!
 //! Every job gets a freshly prepared substrate environment, so tests are
 //! hermetic — the clean-environment guarantee the paper gets from tearing
 //! clusters down between problems.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use substrate::{content_hash, ShellSubstrate, Substrate};
 use yamlkit::PreparedDoc;
 
 use crate::memo::{CachedVerdict, ScoreMemo};
-use crate::miniredis::MiniRedis;
-use crate::shard::run_sharded;
 
 /// The candidate side of a job: either raw text (the pre-refactor shape,
 /// parsed by every layer that touches it) or a parse-once
@@ -33,8 +28,8 @@ use crate::shard::run_sharded;
 #[derive(Debug, Clone)]
 enum Candidate {
     /// Raw YAML text; hashed per memo lookup and re-parsed by the
-    /// substrate layers, exactly like the seed pipeline. Kept as the
-    /// reference cost model for the `--prepared off` A/B path.
+    /// substrate layers, exactly like the seed pipeline. The barriered
+    /// reference grid driver submits its candidates this way.
     Text(String),
     /// Pre-parsed document: hash cached, parse shared with every layer.
     Prepared(Arc<PreparedDoc>),
@@ -156,13 +151,11 @@ pub struct JobResult {
     pub passed: bool,
     /// Simulated in-cluster seconds the test consumed (sleeps + waits).
     pub simulated_ms: u64,
-    /// Which worker ran it. In-batch duplicates report the worker that
-    /// executed their first occurrence; results served from a warm
-    /// cross-run memo report 0 (no worker ran them this run).
+    /// Which worker ran it. A duplicate that arrives while its key is
+    /// executing reports the executing worker; a result answered from the
+    /// memo reports 0 (no worker ran it for this record).
     pub worker: usize,
-    /// Taxonomy classification when the job failed (`None` on a pass, or
-    /// when the result traveled a wire that does not carry diagnoses —
-    /// the §3.3 queue engine's string protocol).
+    /// Taxonomy classification when the job failed (`None` on a pass).
     pub diagnosis: Option<substrate::taxonomy::Diagnosis>,
 }
 
@@ -179,8 +172,6 @@ pub struct RunReport {
     pub executed: usize,
     /// Jobs answered from the score memo / in-run deduplication.
     pub cache_hits: usize,
-    /// Jobs that migrated across shards via work stealing.
-    pub stolen: usize,
 }
 
 impl RunReport {
@@ -190,24 +181,21 @@ impl RunReport {
     }
 }
 
-const QUEUE: &str = "cloudeval:jobs";
-const RESULTS: &str = "cloudeval:results";
-
 /// Executes one prepared candidate hermetically on a fresh shell
 /// substrate and maps the outcome to a verdict: the substrate consumes
 /// the candidate's one-and-only parse (the sandbox cluster is primed, so
 /// the script's `kubectl apply` skips its parse too). Candidate faults
 /// and probe failures both score 0 — the seed path's "interpreter error
-/// counts as failure" policy. Every engine (batch, queue, stream) and
-/// the service layer's single-submission path share this one mapping.
+/// counts as failure" policy. The scheduler and the service layer's
+/// single-submission path share this one mapping.
 pub fn execute_uncached(candidate: &PreparedDoc, script: &str) -> CachedVerdict {
     outcome_to_verdict(ShellSubstrate::new().execute_prepared(candidate, script))
 }
 
 /// [`execute_uncached`] over raw candidate text: every substrate layer
-/// parses the text itself, exactly like the seed pipeline. Kept as the
-/// reference execution path the parse-once refactor is verified and
-/// benchmarked against (`repro pipeline --prepared off`).
+/// parses the text itself, exactly like the seed pipeline. Text jobs
+/// ([`UnitTestJob::new`], which the barriered reference grid driver
+/// submits) run through it, and the parse-once path is checked against it.
 pub fn execute_uncached_text(candidate_yaml: &str, script: &str) -> CachedVerdict {
     outcome_to_verdict(ShellSubstrate::new().execute(candidate_yaml, script))
 }
@@ -231,8 +219,8 @@ fn outcome_to_verdict(
 }
 
 /// Runs all jobs over `workers` threads; results come back in input
-/// order. Uses the sharded work-stealing engine with a run-local score
-/// memo — see [`run_jobs_cached`] to share a memo across runs.
+/// order. Uses a run-local score memo — see [`run_jobs_cached`] to share
+/// a memo across runs.
 pub fn run_jobs(jobs: &[UnitTestJob], workers: usize) -> RunReport {
     run_jobs_cached(jobs, workers, &ScoreMemo::new())
 }
@@ -240,83 +228,46 @@ pub fn run_jobs(jobs: &[UnitTestJob], workers: usize) -> RunReport {
 /// Like [`run_jobs`], with a caller-owned [`ScoreMemo`] so verdicts carry
 /// over between batches (pass@k sweeps, resumed grids).
 ///
-/// Identical `(candidate_yaml, script)` pairs are deduplicated *before*
-/// dispatch: the first occurrence executes, every other occurrence —
-/// in-batch duplicate or cross-batch memo hit — is answered from cache
-/// without touching a substrate.
+/// The batch form of [`run_jobs_stream`]: every job is queued up front,
+/// the scheduler runs them, and the results are collected back into
+/// input order. The first occurrence of a `(candidate, script)` key
+/// executes; every other occurrence — in-batch duplicate or cross-batch
+/// memo hit — is answered from cache without touching a substrate
+/// (apart from the retry rule of [`UnitTestJob::retry`]).
 pub fn run_jobs_cached(jobs: &[UnitTestJob], workers: usize, memo: &ScoreMemo) -> RunReport {
     let start = Instant::now();
-    // Plan: for each job, either execute (first sight of its key) or copy
-    // the verdict of an earlier job / the memo.
-    #[derive(Clone)]
-    enum Plan {
-        Execute(usize), // index into `unique`
-        Memoized(CachedVerdict),
-    }
-    let mut key_to_unique: std::collections::HashMap<(u64, u64), usize> =
-        std::collections::HashMap::new();
-    let mut unique: Vec<usize> = Vec::new(); // job index of each unique execution
-    let mut plans: Vec<Plan> = Vec::with_capacity(jobs.len());
+    let (tx, rx) = std::sync::mpsc::channel();
     for (i, job) in jobs.iter().enumerate() {
-        let key = job.memo_key();
-        if let Some(&u) = key_to_unique.get(&key) {
-            plans.push(Plan::Execute(u)); // alias of an in-batch execution
-            continue;
-        }
-        // A retry job treats a memoized retryable failure as stale.
-        if let Some(verdict) = memo.get_fresh(key, job.is_retry()) {
-            plans.push(Plan::Memoized(verdict));
-            continue;
-        }
-        key_to_unique.insert(key, unique.len());
-        plans.push(Plan::Execute(unique.len()));
-        unique.push(i);
+        tx.send((i, job.clone()))
+            .expect("receiver outlives the feed");
     }
-
-    // Execute the unique jobs on per-worker substrates.
-    let (verdicts, stats) = run_sharded(unique.len(), workers, |worker, u| {
-        let job = &jobs[unique[u]];
-        let verdict = job.execute();
-        memo.insert(job.memo_key(), verdict.clone());
-        (verdict, worker)
-    });
-
-    let executed = unique.len();
-    let results: Vec<JobResult> = jobs
-        .iter()
-        .zip(&plans)
-        .map(|(job, plan)| {
-            let (verdict, worker) = match plan {
-                Plan::Execute(u) => {
-                    let (v, w) = &verdicts[*u];
-                    (v.clone(), *w)
-                }
-                Plan::Memoized(v) => (v.clone(), 0),
-            };
-            JobResult {
-                problem_id: job.problem_id.clone(),
-                passed: verdict.passed,
-                simulated_ms: verdict.simulated_ms,
-                worker,
-                diagnosis: verdict.diagnosis,
-            }
-        })
-        .collect();
+    drop(tx);
+    let slots: Vec<OnceLock<JobResult>> = jobs.iter().map(|_| OnceLock::new()).collect();
+    let stats = run_jobs_stream(
+        rx,
+        workers.clamp(1, jobs.len().max(1)),
+        memo,
+        |i, result| {
+            slots[i].set(result).expect("job answered twice");
+        },
+    );
     RunReport {
-        results,
+        results: slots
+            .into_iter()
+            .map(|slot| slot.into_inner().expect("stream dropped a job"))
+            .collect(),
         wall: start.elapsed(),
-        // The requested pool width (the scheduler may use fewer threads
-        // when there are fewer unique jobs than workers).
+        // The requested pool width (the stream runs fewer threads when
+        // there are fewer jobs than workers).
         workers: workers.max(1),
-        executed,
-        cache_hits: jobs.len() - executed,
-        stolen: stats.stolen,
+        executed: stats.executed,
+        cache_hits: stats.cache_hits,
     }
 }
 
-/// Aggregate statistics of a [`run_jobs_stream`] run (the streaming
-/// engine has no materialized result vector to hang a [`RunReport`] on —
-/// results left through the `emit` callback as they completed).
+/// Aggregate statistics of a [`run_jobs_stream`] run (the stream has no
+/// materialized result vector to hang a [`RunReport`] on — results left
+/// through the `emit` callback as they completed).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StreamStats {
     /// Worker threads used.
@@ -327,10 +278,10 @@ pub struct StreamStats {
     pub cache_hits: usize,
 }
 
-/// The streaming counterpart of [`run_jobs_cached`]: consumes
-/// `(record_index, job)` pairs from a channel **as they arrive** — no
-/// full `&[UnitTestJob]` slice required — and emits each
-/// `(record_index, JobResult)` the moment its verdict is known.
+/// The unit-test scheduler: consumes `(record_index, job)` pairs from a
+/// channel **as they arrive** — no full `&[UnitTestJob]` slice required —
+/// and emits each `(record_index, JobResult)` the moment its verdict is
+/// known. [`run_jobs_cached`] is its batch form.
 ///
 /// This is the execution stage of the harness's judge engine: upstream
 /// generation/scoring stages feed jobs while earlier jobs are already
@@ -341,9 +292,8 @@ pub struct StreamStats {
 /// results): the first arrival of a `(candidate, script)` key executes;
 /// arrivals *while that execution is in flight* park on a wait list and
 /// are answered when it completes; later arrivals hit the memo. Identical
-/// candidates therefore execute exactly once per memo lifetime, same as
-/// the batch engine. `emit` is called from worker threads, concurrently
-/// and in completion order.
+/// candidates therefore execute exactly once per memo lifetime. `emit` is
+/// called from worker threads, concurrently and in completion order.
 ///
 /// Returns once the channel disconnects (all senders dropped) and every
 /// received job has been answered.
@@ -459,85 +409,6 @@ fn cached_result(problem_id: String, v: CachedVerdict) -> JobResult {
     }
 }
 
-/// The seed §3.3 master/worker engine: jobs flow through a Redis-like
-/// blocking queue, workers claim them with `BLPOP`, results return keyed
-/// by index. No deduplication, no stealing — the faithful distributed
-/// model, and the baseline `cargo bench` compares the sharded engine to.
-pub fn run_jobs_queue(jobs: &[UnitTestJob], workers: usize) -> RunReport {
-    let redis = Arc::new(MiniRedis::new());
-    let start = Instant::now();
-    // Master: enqueue jobs keyed by index; store payloads in hashes.
-    for (i, job) in jobs.iter().enumerate() {
-        let key = format!("job:{i}");
-        redis.hset(&key, "problem", &job.problem_id);
-        redis.hset(&key, "script", &job.script);
-        redis.hset(&key, "candidate", job.candidate_yaml());
-        redis.rpush(QUEUE, i.to_string());
-    }
-    let workers = workers.max(1);
-    std::thread::scope(|scope| {
-        for w in 0..workers {
-            let redis = Arc::clone(&redis);
-            scope.spawn(move || {
-                while let Some(idx) = redis.blpop(QUEUE, Duration::from_millis(20)) {
-                    let key = format!("job:{idx}");
-                    let problem = redis.hget(&key, "problem").unwrap_or_default();
-                    let script = redis.hget(&key, "script").unwrap_or_default();
-                    let candidate = redis.hget(&key, "candidate").unwrap_or_default();
-                    let (passed, simulated_ms) = run_one(&script, &candidate);
-                    redis.hset(
-                        RESULTS,
-                        &idx,
-                        format!(
-                            "{problem}\u{1}{}\u{1}{simulated_ms}\u{1}{w}",
-                            u8::from(passed)
-                        ),
-                    );
-                    redis.incr("completed");
-                }
-            });
-        }
-    });
-    let mut results = Vec::with_capacity(jobs.len());
-    for i in 0..jobs.len() {
-        let raw = redis
-            .hget(RESULTS, &i.to_string())
-            .unwrap_or_else(|| String::from("?\u{1}0\u{1}0\u{1}0"));
-        let mut parts = raw.split('\u{1}');
-        let problem_id = parts.next().unwrap_or("?").to_owned();
-        let passed = parts.next() == Some("1");
-        let simulated_ms: u64 = parts.next().and_then(|s| s.parse().ok()).unwrap_or(0);
-        let worker: usize = parts.next().and_then(|s| s.parse().ok()).unwrap_or(0);
-        results.push(JobResult {
-            problem_id,
-            passed,
-            simulated_ms,
-            worker,
-            // The queue wire format (the seed-faithful baseline) does not
-            // carry diagnoses.
-            diagnosis: None,
-        });
-    }
-    let executed = jobs.len();
-    RunReport {
-        results,
-        wall: start.elapsed(),
-        workers,
-        executed,
-        cache_hits: 0,
-        stolen: 0,
-    }
-}
-
-/// Runs one unit test hermetically through the shell substrate. Returns
-/// (passed, simulated cluster ms). Text path by construction: the
-/// candidate traveled through the queue as a string, like a real
-/// distributed deployment would ship it.
-fn run_one(script: &str, candidate: &str) -> (bool, u64) {
-    let verdict = execute_uncached_text(candidate, script);
-    (verdict.passed, verdict.simulated_ms)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -549,7 +420,7 @@ mod tests {
             .map(|i| {
                 // Distinct pod names keep the jobs content-distinct, like
                 // real problems (identical candidates are a cache test).
-                // Alternate candidate representations so every engine is
+                // Alternate candidate representations so the scheduler is
                 // exercised on both the text and the parse-once path.
                 let yaml = format!("apiVersion: v1\nkind: Pod\nmetadata:\n  name: web-{i}\n  labels:\n    app: t\nspec:\n  containers:\n  - name: c\n    image: nginx\n");
                 if i % 2 == 0 {
@@ -752,6 +623,9 @@ mod tests {
 
     #[test]
     fn sharded_and_queue_engines_agree() {
+        // The batch entry point (every job queued up front) and the stream
+        // fed job by job through a bounded queue by a concurrent producer
+        // give the same verdicts, in the same order.
         let mut jobs = sample_jobs(12);
         jobs[4] = UnitTestJob::new(
             "p4",
@@ -764,11 +638,56 @@ mod tests {
             PreparedDoc::shared("not yaml {{{"),
         );
         let sharded = run_jobs(&jobs, 3);
-        let queue = run_jobs_queue(&jobs, 3);
-        for (a, b) in sharded.results.iter().zip(&queue.results) {
+        let queue = Mutex::new(vec![None; jobs.len()]);
+        let (tx, rx) = std::sync::mpsc::sync_channel(2);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                for (i, job) in jobs.iter().cloned().enumerate() {
+                    tx.send((i, job)).unwrap();
+                }
+                drop(tx);
+            });
+            run_jobs_stream(rx, 3, &ScoreMemo::new(), |i, result| {
+                queue.lock().unwrap()[i] = Some(result);
+            });
+        });
+        let queue: Vec<JobResult> = queue
+            .into_inner()
+            .unwrap()
+            .into_iter()
+            .map(|r| r.expect("queue dropped a job"))
+            .collect();
+        assert_eq!(sharded.results.len(), queue.len());
+        assert!(!sharded.results[4].passed && !sharded.results[9].passed);
+        for (a, b) in sharded.results.iter().zip(&queue) {
             assert_eq!(a.problem_id, b.problem_id);
             assert_eq!(a.passed, b.passed, "{}", a.problem_id);
             assert_eq!(a.simulated_ms, b.simulated_ms, "{}", a.problem_id);
         }
+    }
+
+    #[test]
+    fn mixed_retry_batch_executes_a_stale_key_once_in_either_order() {
+        // A plain job and a retry of the same key in one batch: the plain
+        // job trusts the memoized retryable failure, the retry re-executes
+        // it, and the two answers agree whichever comes first.
+        let mut verdicts = Vec::new();
+        for jobs in [
+            [timeout_job(), timeout_job().retry()],
+            [timeout_job().retry(), timeout_job()],
+        ] {
+            let memo = ScoreMemo::new();
+            run_jobs_cached(&[timeout_job()], 1, &memo);
+            let report = run_jobs_cached(&jobs, 2, &memo);
+            assert_eq!((report.executed, report.cache_hits), (1, 1));
+            for r in report.results {
+                assert_eq!(
+                    r.diagnosis.as_ref().map(|d| d.bucket),
+                    Some(substrate::taxonomy::Bucket::ProbeTimeout)
+                );
+                verdicts.push((r.passed, r.simulated_ms, r.diagnosis));
+            }
+        }
+        assert!(verdicts.iter().all(|v| *v == verdicts[0]), "{verdicts:?}");
     }
 }

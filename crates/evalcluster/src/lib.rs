@@ -2,19 +2,16 @@
 //!
 //! The CloudEval-YAML scalable evaluation platform (§3.3–§3.4):
 //!
-//! * [`miniredis`] — the master's Redis-like coordination store (job
-//!   contexts, inputs, outputs; blocking work queues);
-//! * [`executor`] — the parallel unit-test engine: jobs run hermetically
-//!   through the [`substrate::Substrate`] trait on a sharded
-//!   work-stealing scheduler with content-addressed score memoization
-//!   (the seed master/worker queue engine survives as
-//!   [`executor::run_jobs_queue`]; the harness's streaming judge engine
-//!   consumes jobs as they arrive via [`executor::run_jobs_stream`]);
-//! * [`shard`] — the per-shard queues + work stealing scheduler;
+//! * [`executor`] — the parallel unit-test engine: one scheduler,
+//!   [`executor::run_jobs_stream`], consumes jobs as they arrive and runs
+//!   them hermetically through the [`substrate::Substrate`] trait with
+//!   content-addressed score memoization; [`executor::run_jobs_cached`]
+//!   is its batch form over a slice of jobs;
 //! * [`memo`] — the `(candidate, script)` content-addressed verdict cache;
-//! * [`des`] — a discrete-event simulation of the cloud deployment
-//!   (N× 4-core VMs, a shared 100 Mbps uplink, the Figure 4 pull-through
-//!   Docker registry cache) that regenerates Figure 5;
+//! * [`des`] — a discrete-event simulation of the §3.3 Redis
+//!   master/worker cloud deployment (N× 4-core VMs, a shared 100 Mbps
+//!   uplink, the Figure 4 pull-through Docker registry cache) that
+//!   regenerates Figure 5;
 //! * [`cost`] — the Table 3 running-cost model.
 //!
 //! # Examples
@@ -40,14 +37,11 @@ pub mod cost;
 pub mod des;
 pub mod executor;
 pub mod memo;
-pub mod miniredis;
-pub mod shard;
 
 pub use cost::{evaluation_cost, inference_cost, table3, CloudOption, InferenceOption};
 pub use des::{dataset_workload, figure5, simulate, SimConfig, SimJob, SimResult};
 pub use executor::{
-    execute_uncached, execute_uncached_text, run_jobs, run_jobs_cached, run_jobs_queue,
-    run_jobs_stream, JobResult, RunReport, StreamStats, UnitTestJob,
+    execute_uncached, execute_uncached_text, run_jobs, run_jobs_cached, run_jobs_stream, JobResult,
+    RunReport, StreamStats, UnitTestJob,
 };
 pub use memo::{CachedVerdict, ScoreMemo};
-pub use miniredis::MiniRedis;

@@ -1,7 +1,7 @@
 //! The extended scenario families end to end through the substrate
 //! engine: every new workload (CronJob, HPA v2, multi-path Ingress,
 //! NetworkPolicy rules, ConfigMap volumes) scores correctly under the
-//! sharded scheduler, and duplicated candidates hit the memo cache.
+//! unit-test scheduler, and duplicated candidates hit the memo cache.
 
 use cedataset::Dataset;
 use evalcluster::executor::{run_jobs, UnitTestJob};

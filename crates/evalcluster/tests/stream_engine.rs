@@ -1,15 +1,16 @@
-//! The streaming execution engine against the batch engines: verdict
+//! The unit-test scheduler, streamed and batched, against the memo-free
+//! serial reference and against each other: verdict and diagnosis
 //! agreement under mixed pass/fail workloads, in-flight deduplication,
-//! skewed arrival pacing, and skewed per-job durations on the sharded
-//! scheduler it shares result-ordering semantics with.
+//! and skewed arrival pacing.
 
 use std::sync::mpsc::sync_channel;
 use std::sync::Mutex;
 use std::time::Duration;
 
-use evalcluster::executor::{run_jobs, run_jobs_stream, JobResult, UnitTestJob};
+use evalcluster::executor::{
+    execute_uncached_text, run_jobs, run_jobs_stream, JobResult, UnitTestJob,
+};
 use evalcluster::memo::ScoreMemo;
-use evalcluster::shard::run_sharded;
 
 fn sample_jobs(n: usize) -> Vec<UnitTestJob> {
     let script = "kubectl apply -f labeled_code.yaml\nkubectl wait --for=condition=Ready pod -l app=t --timeout=60s && echo unit_test_passed";
@@ -62,6 +63,51 @@ fn stream_all(
         .map(|r| r.expect("stream dropped a record"))
         .collect();
     (results, stats)
+}
+
+#[test]
+fn scheduler_agrees_with_serial_reference_on_mixed_verdicts() {
+    // Passing pods, a ConfigMap that fails the pod wait, and unparseable
+    // YAML, each in both text and prepared form.
+    let mut jobs = sample_jobs(18);
+    jobs[3] = UnitTestJob::new(
+        "p3",
+        jobs[3].script.clone(),
+        "apiVersion: v1\nkind: ConfigMap\nmetadata:\n  name: x\n",
+    );
+    jobs[6] = UnitTestJob::new("p6", jobs[6].script.clone(), "not yaml {{{");
+    jobs[9] = UnitTestJob::prepared(
+        "p9",
+        jobs[9].script.clone(),
+        yamlkit::PreparedDoc::shared("apiVersion: v1\nkind: ConfigMap\nmetadata:\n  name: x\n"),
+    );
+    jobs[11] = UnitTestJob::prepared(
+        "p11",
+        jobs[11].script.clone(),
+        yamlkit::PreparedDoc::shared("not yaml {{{"),
+    );
+    let reference: Vec<_> = jobs
+        .iter()
+        .map(|job| execute_uncached_text(job.candidate_yaml(), &job.script))
+        .collect();
+    assert_eq!(reference.iter().filter(|v| !v.passed).count(), 4);
+    for workers in [1, 2, 4] {
+        let batch = run_jobs(&jobs, workers);
+        let (streamed, stats) = stream_all(&jobs, workers, &ScoreMemo::new(), None);
+        // The two representations of each failure share one memo key.
+        assert_eq!((batch.executed, batch.cache_hits), (16, 2));
+        assert_eq!((stats.executed, stats.cache_hits), (16, 2));
+        for (engine, results) in [("batch", &batch.results), ("stream", &streamed)] {
+            assert_eq!(results.len(), jobs.len());
+            for ((r, job), v) in results.iter().zip(&jobs).zip(&reference) {
+                let at = format!("{engine} at {workers} workers, {}", job.problem_id);
+                assert_eq!(r.problem_id, job.problem_id, "{at}");
+                assert_eq!(r.passed, v.passed, "{at}");
+                assert_eq!(r.simulated_ms, v.simulated_ms, "{at}");
+                assert_eq!(r.diagnosis, v.diagnosis, "{at}");
+            }
+        }
+    }
 }
 
 #[test]
@@ -127,31 +173,4 @@ fn stream_survives_skewed_arrival_pacing() {
         assert_eq!(a.passed, b.passed);
         assert_eq!(a.simulated_ms, b.simulated_ms);
     }
-}
-
-#[test]
-fn sharded_scheduler_keeps_order_under_heavily_skewed_durations() {
-    // Deliberately adversarial duration skew: the first shard's jobs are
-    // ~20x slower than the rest. Work stealing must rebalance, and the
-    // result vector must still come back in exact job-index order.
-    let (results, stats) = run_sharded(96, 8, |worker, idx| {
-        let millis = if idx < 12 { 4 } else { 0 };
-        std::thread::sleep(Duration::from_millis(millis));
-        (worker, idx)
-    });
-    assert_eq!(results.len(), 96);
-    for (i, (_, idx)) in results.iter().enumerate() {
-        assert_eq!(*idx, i, "result {i} out of order");
-    }
-    assert!(
-        stats.stolen > 0,
-        "no steals despite a 20x skewed shard: {stats:?}"
-    );
-    // The slow jobs must not all have been served by their home worker.
-    let slow_workers: std::collections::HashSet<usize> =
-        results[..12].iter().map(|(w, _)| *w).collect();
-    assert!(
-        slow_workers.len() >= 2,
-        "skewed shard was not rebalanced: {slow_workers:?}"
-    );
 }

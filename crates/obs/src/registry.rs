@@ -334,8 +334,8 @@ impl Registry {
 }
 
 /// The process-wide default registry: engine-layer instrumentation
-/// (pipeline stages, shard executor, score memo, substrates, simulated
-/// generation) records here; `/v1/metrics` and `repro trace` read it.
+/// (pipeline stages, score memo, substrates, simulated generation)
+/// records here; `/v1/metrics` and `repro trace` read it.
 pub fn global() -> &'static Registry {
     static GLOBAL: OnceLock<Registry> = OnceLock::new();
     GLOBAL.get_or_init(Registry::new)
