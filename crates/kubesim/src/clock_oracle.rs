@@ -1,7 +1,10 @@
-//! The event-driven clock against the stepwise oracle: two clusters, one on
-//! each clock, run the same random sequence of kubectl commands and clock
-//! advances, and must agree on every command's result and on the whole
-//! cluster state after every step.
+//! The fast paths against the old behaviour: two clusters, one with the
+//! event-driven clock, the kind and owner indexes and change-only pod
+//! status, the other with the stepwise clock, full store scans and a
+//! status rebuild on every reconcile, run the same random sequence of
+//! kubectl commands and clock advances. They must agree on every
+//! command's result and on the whole cluster state after every step, and
+//! every index must equal its recomputation from a full scan.
 
 use proptest::prelude::*;
 
@@ -65,6 +68,9 @@ fn template(app: &str, image: &str, variant: u64) -> String {
     )
 }
 
+/// Replica counts, up to 64.
+const REPLICAS: [u64; 8] = [0, 1, 2, 3, 4, 8, 16, 64];
+
 /// One manifest from a kind selector and four free parameters.
 fn manifest(kind: u64, a: u64, b: u64, c: u64, ns: u64) -> String {
     let ns = namespace(ns);
@@ -80,13 +86,13 @@ fn manifest(kind: u64, a: u64, b: u64, c: u64, ns: u64) -> String {
         1 | 2 => format!(
             "{}spec:\n  replicas: {}\n  selector:\n    matchLabels:\n      app: web\n{}",
             head("apps/v1", "Deployment", "web"),
-            b % 5,
+            REPLICAS[(b % 8) as usize],
             template("web", image, c),
         ),
         3 => format!(
             "{}spec:\n  serviceName: db\n  replicas: {}\n  selector:\n    matchLabels:\n      app: db\n{}",
             head("apps/v1", "StatefulSet", "db"),
-            b % 4,
+            REPLICAS[(b % 8) as usize],
             template("db", image, c),
         ),
         4 => format!(
@@ -150,6 +156,11 @@ enum Op {
     DeleteReplicaSetPod(usize),
     /// `kubectl delete namespace team`.
     DeleteNamespace,
+    /// Apply of this Deployment manifest, an advance of this many ms
+    /// (short of every pod's readiness), then `kubectl delete` of the
+    /// Deployment or, when the flag is set, of its ReplicaSet: a cascade
+    /// in mid-rollout.
+    DeleteMidRollout(String, u64, bool),
     /// `Cluster::advance(ms)`.
     Advance(u64),
     /// A `wait` or `rollout status` command line.
@@ -172,12 +183,21 @@ fn apply() -> impl Strategy<Value = Op> {
         })
 }
 
+fn delete_mid_rollout() -> impl Strategy<Value = Op> {
+    ((0u64..8, 0u64..8), 0u64..36, 0u64..1_500, any::<bool>()).prop_map(
+        |((a, b), c, after, replica_set)| {
+            Op::DeleteMidRollout(manifest(1, a, b, c, 0), after, replica_set)
+        },
+    )
+}
+
 fn wait() -> impl Strategy<Value = Op> {
     ((0u64..11, 0u64..3), 0u64..8, 0u64..130_000)
         .prop_map(|((kind, v), ns, t)| Op::Kubectl(wait_command(kind, v, ns, t)))
 }
 
-/// Three steps in seven apply. A namespace delete is one step in 42, so
+/// Three steps in eight apply, one deletes a Deployment or its
+/// ReplicaSet in mid-rollout. A namespace delete is one step in 48, so
 /// `team` usually lives long enough to fill; the rest of that arm are
 /// short advances off the 250 ms grid.
 fn op() -> impl Strategy<Value = Op> {
@@ -187,6 +207,7 @@ fn op() -> impl Strategy<Value = Op> {
         apply(),
         wait(),
         (0usize..8).prop_map(Op::DeleteReplicaSetPod),
+        delete_mid_rollout(),
         (0u64..6).prop_map(|n| if n == 0 {
             Op::DeleteNamespace
         } else {
@@ -239,6 +260,24 @@ fn step(cluster: &mut Cluster, op: &Op) -> KubectlResult {
             kubectl_line(cluster, &format!("delete pod {name}"), "")
         }
         Op::DeleteNamespace => kubectl_line(cluster, "delete namespace team", ""),
+        Op::DeleteMidRollout(manifest, after, replica_set) => {
+            let applied = kubectl_line(cluster, "apply -f -", manifest);
+            cluster.advance(*after);
+            let target = if *replica_set {
+                match cluster.get("ReplicaSet", Some("default"), None).first() {
+                    Some(rs) => format!("delete replicaset {}", rs.name),
+                    None => return applied,
+                }
+            } else {
+                "delete deployment web".to_owned()
+            };
+            let deleted = kubectl_line(cluster, &target, "");
+            KubectlResult {
+                stdout: applied.stdout + &deleted.stdout,
+                stderr: applied.stderr + &deleted.stderr,
+                code: applied.code.max(deleted.code),
+            }
+        }
         Op::Advance(ms) => {
             cluster.advance(*ms);
             KubectlResult::default()
@@ -251,11 +290,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// Every kubectl result and the full cluster state after every step
-    /// are identical under the event-driven clock and the stepwise one.
+    /// are identical with the fast paths and with the old behaviour.
     #[test]
     fn event_clock_matches_stepwise_oracle(ops in prop::collection::vec(op(), 1..24)) {
         let mut event = Cluster::new();
-        let mut oracle = Cluster::new_stepwise();
+        let mut oracle = Cluster::new_oracle();
         for (i, op) in ops.iter().enumerate() {
             let got = step(&mut event, op);
             let want = step(&mut oracle, op);
@@ -267,13 +306,17 @@ proptest! {
                 i,
                 op
             );
+            event.check_indexes();
+            oracle.check_indexes();
         }
         prop_assert!(event.reconciles() <= oracle.reconciles());
     }
 }
 
 /// 1,004 pods that never pull: `rollout status --timeout=120s` spans 240
-/// polls and 480 ticks, but the clock reconciles once per event.
+/// polls and 480 ticks, but the clock reconciles once per event. No
+/// reconcile builds a pod's status: a status is built when it is read, so
+/// `get pods` builds each pod's once.
 #[test]
 fn rollout_on_unpullable_pods_costs_events_not_ticks() {
     let deployment = format!(
@@ -296,4 +339,8 @@ fn rollout_on_unpullable_pods_costs_events_not_ticks() {
     // The first tick after the apply, whose reconcile inserted the pods;
     // the end of the first poll interval; the poll at the timeout.
     assert_eq!(cluster.reconciles() - reconciles, 3);
+    assert_eq!(cluster.status_builds(), 0);
+    let listed = kubectl_line(&mut cluster, "get pods -o name", "");
+    assert_eq!(listed.stdout.lines().count(), 1004);
+    assert_eq!(cluster.status_builds(), 1004);
 }

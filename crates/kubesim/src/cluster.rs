@@ -9,11 +9,26 @@
 //! of every `advance` always reconciles. `kubectl wait` and `rollout
 //! status` skip the polls that cannot see a change. So a `kubectl wait
 //! --timeout=60s` on pods that never become ready costs a few reconciles
-//! rather than one per tick, though each reconcile still scans the whole
-//! store.
+//! rather than one per tick.
+//!
+//! A reconcile costs what can change, not the whole store once per
+//! workload. The store is ordered by kind, then namespace, then name, so
+//! the objects of one kind (or of one kind in one namespace) are one
+//! range of it: the kind index. An owner index maps each owner named in
+//! some `ownerReferences` to the objects that name it. Three private
+//! methods are the only ones that change which objects exist or whom they
+//! name as owners — `insert_owned`, `remove_resource` and
+//! `update_resource` (an apply over an existing object) — and they keep
+//! the owner index, the pods' runtime models, the clock's mutation epoch
+//! and the memo of pod counts and endpoints in step. A reconcile keeps
+//! each pod's phase, readiness, waiting reason and IP in its runtime
+//! model and stores no pod `status`: a pod's status is built when it is
+//! read, so no reconcile rebuilds or restamps one.
 
+use std::collections::btree_map::Entry as Slot;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::fmt;
+use std::fmt::{self, Write as _};
+use std::ops::Bound;
 
 use yamlkit::Yaml;
 
@@ -79,6 +94,15 @@ pub struct NodeInfo {
     pub ip: String,
 }
 
+/// Admission bound on the pods one workload may ask for: `spec.replicas`
+/// of a Deployment, ReplicaSet or StatefulSet, and `spec.completions` of
+/// a Job or of a CronJob's job template. A workload over it is refused
+/// with [`ClusterError::Forbidden`] in the API server's exhausted-quota
+/// phrasing, as a `ResourceQuota` would refuse it, instead of building
+/// that many pods. The bound is far above every reference solution and
+/// every generated candidate of the benchmark (at most 1,005 replicas).
+pub const MAX_PODS_PER_WORKLOAD: i64 = 10_000;
+
 /// Per-pod runtime model: when pulls finish, when the pod is ready, when a
 /// finite command terminates.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -92,12 +116,120 @@ struct PodRuntime {
     fails: bool,
     /// Image cannot be pulled (unknown reference).
     unpullable: bool,
+    /// The state the pod's `status` shows: its state at the last
+    /// reconcile. `None` before the pod's first reconcile.
+    shown: Option<PodState>,
+    /// The last octet counter of the pod's IP, assigned at its first
+    /// reconcile.
+    ip: Option<u32>,
+}
+
+/// Everything a pod's `status` shows that can change over time, except
+/// condition timestamps.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct PodState {
+    phase: &'static str,
+    ready: bool,
+    waiting_reason: Option<&'static str>,
+}
+
+impl PodRuntime {
+    /// The pod's state at `now`.
+    fn state_at(&self, now: u64) -> PodState {
+        let (phase, ready, waiting_reason) = if self.unpullable {
+            ("Pending", false, Some("ImagePullBackOff"))
+        } else if now < self.pull_done_ms {
+            ("Pending", false, Some("ContainerCreating"))
+        } else if self.terminates_ms.is_some_and(|t| now >= t) {
+            (if self.fails { "Failed" } else { "Succeeded" }, false, None)
+        } else {
+            ("Running", now >= self.ready_ms, None)
+        };
+        PodState {
+            phase,
+            ready,
+            waiting_reason,
+        }
+    }
+}
+
+/// A stored pod with the phase and IP its status shows (see
+/// [`Cluster::pod_views`]).
+pub(crate) struct PodView<'a> {
+    /// The stored pod, without its status.
+    pub(crate) pod: &'a Resource,
+    /// `status.phase`.
+    pub(crate) phase: Option<&'a str>,
+    /// `status.podIP`.
+    pub(crate) ip: Option<String>,
+}
+
+/// One stored object, with its runtime model when it is a Pod.
+#[derive(Debug, Clone)]
+struct Entry {
+    resource: Resource,
+    /// `Some` for every Pod, `None` for every other kind.
+    runtime: Option<PodRuntime>,
+}
+
+/// The kinds whose status counts the pods they own.
+const WORKLOAD_KINDS: [&str; 5] = [
+    "DaemonSet",
+    "Deployment",
+    "Job",
+    "ReplicaSet",
+    "StatefulSet",
+];
+
+/// Pod counts of one workload.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct PodCounts {
+    total: i64,
+    ready: i64,
+    succeeded: i64,
+    failed: i64,
+}
+
+impl PodCounts {
+    fn add(&mut self, ready: bool, phase: Option<&str>) {
+        self.total += 1;
+        self.ready += i64::from(ready);
+        self.succeeded += i64::from(phase == Some("Succeeded"));
+        self.failed += i64::from(phase == Some("Failed"));
+    }
+}
+
+/// A pod body built once from a workload's template, copied for each pod
+/// the workload spawns in one reconcile, with the runtime model and image
+/// pulls every such pod shares.
+struct PodPrototype {
+    pod: Resource,
+    runtime: PodRuntime,
+    pulled: Vec<String>,
+}
+
+/// What the controllers derive from pods and reuse while nothing they
+/// read changes. Not cluster state.
+#[derive(Debug, Clone, Default)]
+struct Memo {
+    /// Bumped by every insert, remove and changing in-place update of an
+    /// object and by every change of a pod's state: everything a
+    /// workload's pod counts and a Service's endpoints read.
+    revision: u64,
+    /// The revision `counts` was taken at.
+    counted: Option<u64>,
+    /// The last [`Cluster::workload_counts`].
+    counts: Vec<(ResourceKey, PodCounts)>,
+    /// The revision every Service's endpoints were last computed at.
+    endpoints: Option<u64>,
 }
 
 /// Simulated time between two controller ticks.
 const TICK_MS: u64 = 250;
 
-/// Bookkeeping of the event-driven clock (see [`Cluster::advance`]).
+/// Bookkeeping of the event-driven clock (see [`Cluster::advance`]), and
+/// the test build's oracle switches and counters, none of which is
+/// cluster state.
 #[derive(Debug, Clone, Default)]
 struct Clock {
     /// Bumped by every store insert or remove. (An apply that updates an
@@ -116,6 +248,14 @@ struct Clock {
     /// this one did: the oracle the event-driven clock is tested against.
     #[cfg(test)]
     stepwise: bool,
+    /// Find objects by scanning the whole store instead of through the
+    /// kind and owner indexes, and rebuild every pod's status on every
+    /// reconcile: the oracle the indexes are tested against.
+    #[cfg(test)]
+    full_scan: bool,
+    /// Pod statuses built so far, stored or read.
+    #[cfg(test)]
+    status_builds: std::cell::Cell<u64>,
 }
 
 /// The simulated Kubernetes cluster.
@@ -138,10 +278,14 @@ struct Clock {
 #[derive(Debug, Clone)]
 pub struct Cluster {
     now_ms: u64,
-    resources: BTreeMap<ResourceKey, Resource>,
+    /// The store. Its key order (kind, namespace, name) is the kind index.
+    resources: BTreeMap<ResourceKey, Entry>,
+    /// The owner index: for each `ownerReferences` entry with a string
+    /// kind and name, the key (that kind, the referring object's
+    /// namespace, that name) maps to the keys of the objects holding it.
+    owners: OwnerIndex,
     namespaces: BTreeSet<String>,
     nodes: Vec<NodeInfo>,
-    pod_runtime: BTreeMap<ResourceKey, PodRuntime>,
     name_counter: u64,
     ip_counter: u32,
     node_port_counter: u16,
@@ -157,6 +301,7 @@ pub struct Cluster {
     /// parsed once per evaluation, not once per layer.
     primed: HashMap<u64, std::sync::Arc<Vec<Yaml>>>,
     clock: Clock,
+    memo: Memo,
 }
 
 impl Default for Cluster {
@@ -172,6 +317,7 @@ impl Cluster {
         Cluster {
             now_ms: 0,
             resources: BTreeMap::new(),
+            owners: BTreeMap::new(),
             namespaces: ["default", "kube-system", "kube-public"]
                 .into_iter()
                 .map(str::to_owned)
@@ -180,7 +326,6 @@ impl Cluster {
                 name: "minikube".into(),
                 ip: "192.168.49.2".into(),
             }],
-            pod_runtime: BTreeMap::new(),
             name_counter: 0,
             ip_counter: 1,
             node_port_counter: 30000,
@@ -188,6 +333,7 @@ impl Cluster {
             pulls: Vec::new(),
             primed: HashMap::new(),
             clock: Clock::default(),
+            memo: Memo::default(),
         }
     }
 
@@ -403,28 +549,21 @@ impl Cluster {
             return Err(ClusterError::NamespaceNotFound(resource.namespace));
         }
         self.validate_semantics(&resource)?;
-        if resource.kind == "Pod" && !self.resources.contains_key(&resource.key()) {
+        enforce_workload_bound(&resource)?;
+        let key = resource.key();
+        if resource.kind == "Pod" && !self.resources.contains_key(&key) {
             self.enforce_pod_quota(&resource)?;
         }
         if resource.kind == "Namespace" {
             self.namespaces.insert(resource.name.clone());
         }
-        let key = resource.key();
-        let verb = if let Some(existing) = self.resources.get_mut(&key) {
-            let changed = existing.body != resource.body;
-            existing.body = resource.body;
-            existing.labels = resource.labels;
-            existing.api_version = resource.api_version;
-            existing.generation += 1;
-            if changed {
+        let verb = if self.resources.contains_key(&key) {
+            if self.update_resource(&key, resource) {
                 "configured"
             } else {
                 "unchanged"
             }
         } else {
-            if resource.kind == "Pod" {
-                self.track_pod(&resource);
-            }
             self.insert_resource(resource);
             "created"
         };
@@ -462,48 +601,177 @@ impl Cluster {
         }
         if kind == "Namespace" {
             self.namespaces.remove(name);
-            let runtime = &mut self.pod_runtime;
-            self.resources.retain(|k, _| {
-                let keep = k.namespace != name;
-                if !keep {
-                    runtime.remove(k);
-                }
-                keep
-            });
+            let contents: Vec<ResourceKey> = self
+                .resources
+                .keys()
+                .filter(|k| k.namespace == name)
+                .cloned()
+                .collect();
+            for k in &contents {
+                self.remove_resource(k);
+            }
         }
         self.cascade_delete(&key);
         Ok(format!("{} \"{name}\" deleted", kind.to_lowercase()))
     }
 
     fn cascade_delete(&mut self, owner: &ResourceKey) {
-        let children: Vec<ResourceKey> = self
-            .resources
-            .values()
-            .filter(|r| owned_by(r, &owner.kind, &owner.name) && r.namespace == owner.namespace)
-            .map(Resource::key)
-            .collect();
+        let children: Vec<ResourceKey> = self.owned(owner, None).into_iter().cloned().collect();
         for child in children {
             self.remove_resource(&child);
             self.cascade_delete(&child);
         }
     }
 
-    /// Inserts or replaces a resource; every store insert goes through
-    /// here so the clock sees it.
+    /// Inserts a new object (see [`Cluster::insert_owned`]).
     fn insert_resource(&mut self, r: Resource) {
-        self.clock.epoch += 1;
-        self.resources.insert(r.key(), r);
+        let owners = owner_keys(&r.namespace, &r.body);
+        self.insert_owned(r, None, &owners);
     }
 
-    /// Removes a resource and its pod runtime; false when absent. Every
-    /// store remove goes through here so the clock sees it, except the
-    /// sweep of a deleted namespace's contents, which follows the removal
-    /// of the namespace object itself.
+    /// Inserts `r`, whose [`owner_keys`] are `owners`. With
+    /// [`Cluster::remove_resource`] and [`Cluster::update_resource`], this
+    /// is the only change to which objects exist or whom they name as
+    /// owners, so the clock, the owner index and the memo see every one.
+    /// A Pod comes with its runtime model or gets one here.
+    fn insert_owned(&mut self, r: Resource, runtime: Option<PodRuntime>, owners: &[ResourceKey]) {
+        let runtime = match runtime {
+            None if r.kind == "Pod" => Some(self.track_pod(&r)),
+            runtime => runtime,
+        };
+        let entry = Entry {
+            resource: r,
+            runtime,
+        };
+        match self.resources.entry(entry.resource.key()) {
+            Slot::Vacant(slot) => {
+                index(&mut self.owners, slot.key(), owners);
+                slot.insert(entry);
+            }
+            // A controller may reuse the name of an object it replaces.
+            Slot::Occupied(mut slot) => {
+                let old = slot.insert(entry).resource;
+                unindex(
+                    &mut self.owners,
+                    slot.key(),
+                    &owner_keys(&old.namespace, &old.body),
+                );
+                index(&mut self.owners, slot.key(), owners);
+            }
+        }
+        self.clock.epoch += 1;
+        self.memo.revision += 1;
+    }
+
+    /// Removes an object and its pod runtime; false when absent.
     fn remove_resource(&mut self, key: &ResourceKey) -> bool {
-        self.pod_runtime.remove(key);
-        let removed = self.resources.remove(key).is_some();
-        self.clock.epoch += u64::from(removed);
-        removed
+        let Some(entry) = self.resources.remove(key) else {
+            return false;
+        };
+        let r = entry.resource;
+        unindex(&mut self.owners, key, &owner_keys(&r.namespace, &r.body));
+        self.clock.epoch += 1;
+        self.memo.revision += 1;
+        true
+    }
+
+    /// Applies `new` over the stored object at `key`: body, labels and
+    /// `apiVersion` are replaced and the generation bumped, while status,
+    /// creation time and runtime model stay. True when the body changed.
+    /// An in-place update reconciles at once, so the clock needs no epoch
+    /// bump.
+    fn update_resource(&mut self, key: &ResourceKey, new: Resource) -> bool {
+        let Some(entry) = self.resources.get_mut(key) else {
+            return false;
+        };
+        let r = &mut entry.resource;
+        let changed = r.body != new.body;
+        let stale = changed.then(|| owner_keys(&r.namespace, &r.body));
+        r.body = new.body;
+        r.labels = new.labels;
+        r.api_version = new.api_version;
+        r.generation += 1;
+        if let Some(stale) = stale {
+            let fresh = owner_keys(&r.namespace, &r.body);
+            unindex(&mut self.owners, key, &stale);
+            index(&mut self.owners, key, &fresh);
+            self.memo.revision += 1;
+        }
+        changed
+    }
+
+    /// Keys of the objects that name `owner` in their `ownerReferences`
+    /// (its kind and name, in its namespace), of `kind` when given, in
+    /// store order.
+    fn owned(&self, owner: &ResourceKey, kind: Option<&str>) -> Vec<&ResourceKey> {
+        let of_kind = |k: &&ResourceKey| kind.is_none_or(|kind| k.kind == kind);
+        #[cfg(test)]
+        if self.full_scan() {
+            return self
+                .resources
+                .iter()
+                .filter(|(k, e)| {
+                    k.namespace == owner.namespace
+                        && owned_by(&e.resource, &owner.kind, &owner.name)
+                })
+                .map(|(k, _)| k)
+                .filter(of_kind)
+                .collect();
+        }
+        self.owners
+            .get(owner)
+            .into_iter()
+            .flatten()
+            .filter(of_kind)
+            .collect()
+    }
+
+    /// The stored objects of `kind`, in `namespace` when given, in store
+    /// order: one range of the store.
+    fn of_kind<'a>(
+        &'a self,
+        kind: &'a str,
+        namespace: Option<&'a str>,
+    ) -> impl Iterator<Item = (&'a ResourceKey, &'a Entry)> + 'a {
+        self.resources
+            .range(self.kind_bounds(kind, namespace))
+            .filter(move |(k, _)| in_kind(k, kind, namespace))
+    }
+
+    /// Keys of [`Cluster::of_kind`], for a controller that mutates the
+    /// store while it walks them.
+    fn keys_of_kind(&self, kind: &str) -> Vec<ResourceKey> {
+        self.of_kind(kind, None).map(|(k, _)| k.clone()).collect()
+    }
+
+    /// Snapshot of every object of `kind`, for a controller that reads
+    /// each as it stood when its pass began.
+    fn snapshot_of_kind(&self, kind: &str) -> Vec<Resource> {
+        self.of_kind(kind, None)
+            .map(|(_, e)| e.resource.clone())
+            .collect()
+    }
+
+    /// The store range holding the objects of `kind` (in `namespace` when
+    /// given): [`index_bounds`], or the whole store in the full-scan
+    /// oracle.
+    fn kind_bounds(
+        &self,
+        kind: &str,
+        namespace: Option<&str>,
+    ) -> (Bound<ResourceKey>, Bound<ResourceKey>) {
+        if self.full_scan() {
+            return (Bound::Unbounded, Bound::Unbounded);
+        }
+        index_bounds(kind, namespace)
+    }
+
+    /// Whether this is the full-scan oracle (test builds only).
+    fn full_scan(&self) -> bool {
+        #[cfg(test)]
+        return self.clock.full_scan;
+        #[cfg(not(test))]
+        false
     }
 
     /// Fetches resources by kind with optional namespace and name filters.
@@ -523,8 +791,10 @@ impl Cluster {
     }
 
     /// [`Cluster::get`] with an optional label selector. Every filter runs
-    /// before a resource is cloned, so a selector that matches a few pods
-    /// of a large deployment copies only those.
+    /// before a resource is cloned (and, for a pod, before its status is
+    /// built), so a selector that matches a few pods of a large deployment
+    /// copies only those, and only the objects of the kind (and namespace)
+    /// asked for are visited.
     pub fn get_matching(
         &self,
         kind: &str,
@@ -539,28 +809,45 @@ impl Cluster {
             nodes.retain(selected);
             return nodes;
         }
-        self.resources
-            .values()
-            .filter(|r| r.kind == kind)
-            .filter(|r| {
-                is_cluster_scoped(kind)
-                    || namespace.is_none()
-                    || namespace == Some(r.namespace.as_str())
-            })
-            .filter(|r| name.is_none() || name == Some(r.name.as_str()))
-            .filter(|r| selected(r))
-            .cloned()
+        // Cluster-scoped objects are stored with an empty namespace.
+        let namespace = if is_cluster_scoped(kind) {
+            Some("")
+        } else {
+            namespace
+        };
+        let wanted = |e: &&Entry| {
+            let r = &e.resource;
+            name.is_none_or(|name| name == r.name) && selected(r)
+        };
+        if let (Some(namespace), Some(name)) = (namespace, name) {
+            let key = ResourceKey {
+                kind: kind.to_owned(),
+                namespace: namespace.to_owned(),
+                name: name.to_owned(),
+            };
+            return self
+                .resources
+                .get(&key)
+                .filter(wanted)
+                .map(|e| self.materialize(e))
+                .into_iter()
+                .collect();
+        }
+        self.of_kind(kind, namespace)
+            .map(|(_, e)| e)
+            .filter(wanted)
+            .map(|e| self.materialize(e))
             .collect()
     }
 
-    /// Direct lookup by key.
-    pub fn resource(&self, key: &ResourceKey) -> Option<&Resource> {
-        self.resources.get(key)
+    /// Direct lookup by key, as [`Cluster::get`] returns the object.
+    pub fn resource(&self, key: &ResourceKey) -> Option<Resource> {
+        self.resources.get(key).map(|e| self.materialize(e))
     }
 
-    /// All stored resources (tests and describe).
-    pub fn all_resources(&self) -> impl Iterator<Item = &Resource> {
-        self.resources.values()
+    /// Every stored object as [`Cluster::get`] returns it, in store order.
+    pub fn all_resources(&self) -> impl Iterator<Item = Resource> + '_ {
+        self.resources.values().map(|e| self.materialize(e))
     }
 
     fn node_resources(&self) -> Vec<Resource> {
@@ -670,11 +957,9 @@ impl Cluster {
     /// (Controller-created pods bypass admission here, like the real
     /// quota controller's eventual-consistency window.)
     fn enforce_pod_quota(&self, pod: &Resource) -> Result<(), ClusterError> {
-        for quota in self
-            .resources
-            .values()
-            .filter(|r| r.kind == "ResourceQuota" && r.namespace == pod.namespace)
-        {
+        let ns = Some(pod.namespace.as_str());
+        for (_, quota) in self.of_kind("ResourceQuota", ns) {
+            let quota = &quota.resource;
             let Some(hard) = quota
                 .body
                 .get_path(&["spec", "hard", "pods"])
@@ -683,11 +968,7 @@ impl Cluster {
             else {
                 continue;
             };
-            let used = self
-                .resources
-                .values()
-                .filter(|r| r.kind == "Pod" && r.namespace == pod.namespace)
-                .count() as u64;
+            let used = self.of_kind("Pod", ns).count() as u64;
             if used >= hard {
                 return Err(ClusterError::Forbidden(format!(
                     "pods \"{}\" is forbidden: exceeded quota: {}, requested: pods=1, used: pods={used}, limited: pods={hard}",
@@ -769,72 +1050,66 @@ impl Cluster {
     /// a CronJob's first minute boundary. `u64::MAX` when there is none.
     fn next_deadline(&self) -> u64 {
         let pods = self
-            .pod_runtime
-            .values()
+            .of_kind("Pod", None)
+            .filter_map(|(_, e)| e.runtime)
             .filter(|rt| !rt.unpullable)
             .flat_map(|rt| [Some(rt.pull_done_ms), Some(rt.ready_ms), rt.terminates_ms])
             .flatten();
-        let objects = self
-            .resources
-            .values()
-            .filter_map(|r| match r.kind.as_str() {
-                "Service" if service_type(r) == "LoadBalancer" => Some(r.created_at_ms + 2_000),
-                "Ingress" => Some(r.created_at_ms + 1_000),
-                "CronJob" => Some((r.created_at_ms / 60_000 + 1) * 60_000),
-                _ => None,
-            });
-        pods.chain(objects)
+        let created = |kind| self.of_kind(kind, None).map(|(_, e)| &e.resource);
+        let balancers = created("Service")
+            .filter(|r| service_type(r) == "LoadBalancer")
+            .map(|r| r.created_at_ms + 2_000);
+        let ingresses = created("Ingress").map(|r| r.created_at_ms + 1_000);
+        let cronjobs = created("CronJob").map(|r| (r.created_at_ms / 60_000 + 1) * 60_000);
+        pods.chain(balancers)
+            .chain(ingresses)
+            .chain(cronjobs)
             .filter(|&t| t > self.now_ms)
             .min()
             .unwrap_or(u64::MAX)
     }
 
-    fn fresh_suffix(&mut self) -> String {
-        self.name_counter += 1;
+    /// `count` fresh pod names for `owner`: `owner-` and five letters.
+    fn fresh_names(&mut self, owner: &str, count: usize) -> Vec<String> {
         let alphabet = b"abcdefghijklmnopqrstuvwxyz";
-        let mut n = self.name_counter * 7919 + 13;
-        let mut s = String::new();
-        for _ in 0..5 {
-            s.push(alphabet[(n % 26) as usize] as char);
-            n /= 26;
-        }
-        s
+        (0..count)
+            .map(|_| {
+                self.name_counter += 1;
+                let mut n = self.name_counter * 7919 + 13;
+                let mut name = String::with_capacity(owner.len() + 6);
+                name.push_str(owner);
+                name.push('-');
+                for _ in 0..5 {
+                    name.push(alphabet[(n % 26) as usize] as char);
+                    n /= 26;
+                }
+                name
+            })
+            .collect()
     }
 
     fn reconcile_deployments(&mut self) {
-        let deployments: Vec<Resource> = self
-            .resources
-            .values()
-            .filter(|r| r.kind == "Deployment")
-            .cloned()
-            .collect();
-        for d in deployments {
+        for d in self.snapshot_of_kind("Deployment") {
             let rs_name = format!("{}-{}", d.name, template_hash(&d.body));
             let rs_key = ResourceKey {
                 kind: "ReplicaSet".into(),
                 namespace: d.namespace.clone(),
                 name: rs_name.clone(),
             };
-            if self.resources.contains_key(&rs_key) {
+            if let Some(rs) = self.resources.get_mut(&rs_key) {
                 // Keep replica count in sync.
                 let replicas = d.replicas();
-                if let Some(rs) = self.resources.get_mut(&rs_key) {
-                    rs.body
-                        .get_mut("spec")
-                        .map(|s| s.insert("replicas", Yaml::Int(replicas)));
-                }
+                rs.resource
+                    .body
+                    .get_mut("spec")
+                    .map(|s| s.insert("replicas", Yaml::Int(replicas)));
                 continue;
             }
             // Old replica sets from previous template hashes are scaled away.
             let stale: Vec<ResourceKey> = self
-                .resources
-                .values()
-                .filter(|r| {
-                    r.kind == "ReplicaSet"
-                        && r.namespace == d.namespace
-                        && owned_by(r, "Deployment", &d.name)
-                })
-                .map(Resource::key)
+                .owned(&d.key(), Some("ReplicaSet"))
+                .into_iter()
+                .cloned()
                 .collect();
             for key in stale {
                 self.remove_resource(&key);
@@ -866,61 +1141,45 @@ impl Cluster {
     }
 
     fn reconcile_replicasets(&mut self) {
-        let sets: Vec<Resource> = self
-            .resources
-            .values()
-            .filter(|r| r.kind == "ReplicaSet")
-            .cloned()
-            .collect();
-        for rs in sets {
+        for rs in self.snapshot_of_kind("ReplicaSet") {
             let desired = rs.replicas().max(0) as usize;
-            let mut children: Vec<ResourceKey> = self
-                .resources
-                .values()
-                .filter(|r| {
-                    r.kind == "Pod"
-                        && r.namespace == rs.namespace
-                        && owned_by(r, "ReplicaSet", &rs.name)
-                })
-                .map(Resource::key)
-                .collect();
-            while children.len() > desired {
-                let key = children.pop().expect("len checked");
-                self.remove_resource(&key);
+            let children = self.owned(&rs.key(), Some("Pod"));
+            let have = children.len();
+            // Scale down from the end of the store order.
+            let extra: Vec<ResourceKey> = children.into_iter().skip(desired).cloned().collect();
+            for key in extra.iter().rev() {
+                self.remove_resource(key);
             }
-            let missing = desired - children.len();
-            for _ in 0..missing {
-                let name = format!("{}-{}", rs.name, self.fresh_suffix());
-                self.spawn_pod_from_template(&rs, &name, "ReplicaSet");
-            }
+            let names = self.fresh_names(&rs.name, desired.saturating_sub(have));
+            self.spawn_pods(&rs, names);
         }
     }
 
     fn reconcile_daemonsets(&mut self) {
-        let sets: Vec<Resource> = self
-            .resources
-            .values()
-            .filter(|r| r.kind == "DaemonSet")
-            .cloned()
-            .collect();
-        for ds in sets {
+        for ds in self.snapshot_of_kind("DaemonSet") {
             for node_idx in 0..self.nodes.len() {
-                let exists = self.resources.values().any(|r| {
-                    r.kind == "Pod"
-                        && r.namespace == ds.namespace
-                        && owned_by(r, "DaemonSet", &ds.name)
-                        && r.body
-                            .get_path(&["spec", "nodeName"])
-                            .map(Yaml::render_scalar)
-                            .as_deref()
-                            == Some(self.nodes[node_idx].name.as_str())
+                let node_name = self.nodes[node_idx].name.clone();
+                let exists = self.owned(&ds.key(), Some("Pod")).into_iter().any(|key| {
+                    self.resources[key]
+                        .resource
+                        .body
+                        .get_path(&["spec", "nodeName"])
+                        .map(Yaml::render_scalar)
+                        .as_deref()
+                        == Some(node_name.as_str())
                 });
                 if !exists {
-                    let name = format!("{}-{}", ds.name, self.fresh_suffix());
-                    let node_name = self.nodes[node_idx].name.clone();
-                    if let Some(key) = self.spawn_pod_from_template(&ds, &name, "DaemonSet") {
+                    let names = self.fresh_names(&ds.name, 1);
+                    let name = names[0].clone();
+                    if self.spawn_pods(&ds, names) {
+                        let key = ResourceKey {
+                            kind: "Pod".into(),
+                            namespace: ds.namespace.clone(),
+                            name,
+                        };
                         if let Some(pod) = self.resources.get_mut(&key) {
-                            pod.body
+                            pod.resource
+                                .body
                                 .get_mut("spec")
                                 .map(|s| s.insert("nodeName", Yaml::Str(node_name)));
                         }
@@ -931,40 +1190,34 @@ impl Cluster {
     }
 
     fn reconcile_statefulsets(&mut self) {
-        let sets: Vec<Resource> = self
-            .resources
-            .values()
-            .filter(|r| r.kind == "StatefulSet")
-            .cloned()
-            .collect();
-        for sts in sets {
+        for sts in self.snapshot_of_kind("StatefulSet") {
             let desired = sts.replicas().max(0);
+            let mut key = ResourceKey {
+                kind: "Pod".into(),
+                namespace: sts.namespace.clone(),
+                name: String::new(),
+            };
+            let mut missing = Vec::new();
             for ordinal in 0..desired {
-                let name = format!("{}-{ordinal}", sts.name);
-                let key = ResourceKey {
-                    kind: "Pod".into(),
-                    namespace: sts.namespace.clone(),
-                    name: name.clone(),
-                };
+                key.name.clear();
+                write!(key.name, "{}-{ordinal}", sts.name).expect("write to String");
                 if !self.resources.contains_key(&key) {
-                    self.spawn_pod_from_template(&sts, &name, "StatefulSet");
+                    missing.push(key.name.clone());
                 }
             }
+            self.spawn_pods(&sts, missing);
             // Scale down: remove higher ordinals.
             let extra: Vec<ResourceKey> = self
-                .resources
-                .values()
-                .filter(|r| {
-                    r.kind == "Pod"
-                        && owned_by(r, "StatefulSet", &sts.name)
-                        && r.namespace == sts.namespace
-                        && r.name
-                            .rsplit('-')
-                            .next()
-                            .and_then(|o| o.parse::<i64>().ok())
-                            .is_some_and(|o| o >= desired)
+                .owned(&sts.key(), Some("Pod"))
+                .into_iter()
+                .filter(|k| {
+                    k.name
+                        .rsplit('-')
+                        .next()
+                        .and_then(|o| o.parse::<i64>().ok())
+                        .is_some_and(|o| o >= desired)
                 })
-                .map(Resource::key)
+                .cloned()
                 .collect();
             for key in extra {
                 self.remove_resource(&key);
@@ -973,51 +1226,28 @@ impl Cluster {
     }
 
     fn reconcile_jobs(&mut self) {
-        let jobs: Vec<Resource> = self
-            .resources
-            .values()
-            .filter(|r| r.kind == "Job")
-            .cloned()
-            .collect();
-        for job in jobs {
+        for job in self.snapshot_of_kind("Job") {
             let completions = job
                 .body
                 .get_path(&["spec", "completions"])
                 .and_then(Yaml::as_i64)
                 .unwrap_or(1)
                 .max(1) as usize;
-            let existing = self
-                .resources
-                .values()
-                .filter(|r| {
-                    r.kind == "Pod" && r.namespace == job.namespace && owned_by(r, "Job", &job.name)
-                })
-                .count();
-            for _ in existing..completions {
-                let name = format!("{}-{}", job.name, self.fresh_suffix());
-                self.spawn_pod_from_template(&job, &name, "Job");
-            }
+            let existing = self.owned(&job.key(), Some("Pod")).len();
+            let names = self.fresh_names(&job.name, completions.saturating_sub(existing));
+            self.spawn_pods(&job, names);
         }
     }
 
     fn reconcile_cronjobs(&mut self) {
-        let crons: Vec<Resource> = self
-            .resources
-            .values()
-            .filter(|r| r.kind == "CronJob")
-            .cloned()
-            .collect();
-        for cj in crons {
+        for cj in self.snapshot_of_kind("CronJob") {
             // Simplified schedule model: one Job per simulated minute.
             let due = (self.now_ms / 60_000) > (cj.created_at_ms / 60_000)
                 || self.now_ms.saturating_sub(cj.created_at_ms) >= 60_000;
             if !due {
                 continue;
             }
-            let spawned = self.resources.values().any(|r| {
-                r.kind == "Job" && r.namespace == cj.namespace && owned_by(r, "CronJob", &cj.name)
-            });
-            if spawned {
+            if !self.owned(&cj.key(), Some("Job")).is_empty() {
                 continue;
             }
             let Some(job_spec) = cj.body.get_path(&["spec", "jobTemplate", "spec"]) else {
@@ -1041,33 +1271,53 @@ impl Cluster {
         }
     }
 
-    /// Creates a pod from a workload's template; returns the new key.
-    fn spawn_pod_from_template(
-        &mut self,
-        owner: &Resource,
-        pod_name: &str,
-        owner_kind: &str,
-    ) -> Option<ResourceKey> {
+    /// Creates one pod per name from `owner`'s pod template; false, and
+    /// nothing created, when there is no name or no template. The template
+    /// is copied once, into a prototype pod whose runtime model every pod
+    /// of the batch shares; each pod is one copy of the prototype.
+    fn spawn_pods(&mut self, owner: &Resource, names: Vec<String>) -> bool {
+        if names.is_empty() {
+            return false;
+        }
+        let Some(prototype) = self.pod_prototype(owner) else {
+            return false;
+        };
+        let now = self.now_ms;
+        let owners = owner_keys(&prototype.pod.namespace, &prototype.pod.body);
+        for name in names {
+            let mut pod = prototype.pod.clone();
+            pod.name = name.clone();
+            if let Some(metadata) = pod.body.get_mut("metadata") {
+                metadata.insert("name", Yaml::Str(name));
+            }
+            self.pulls
+                .extend(prototype.pulled.iter().map(|image| (image.clone(), now)));
+            self.insert_owned(pod, Some(prototype.runtime), &owners);
+        }
+        true
+    }
+
+    /// The pod `owner`'s template describes, with an empty name for
+    /// [`Cluster::spawn_pods`] to fill in, and its runtime model.
+    fn pod_prototype(&self, owner: &Resource) -> Option<PodPrototype> {
         let template = owner.pod_template()?;
         let labels = template
             .get_path(&["metadata", "labels"])
             .cloned()
             .unwrap_or(Yaml::Map(vec![]));
-        let spec = template.get("spec").cloned().unwrap_or(Yaml::Map(vec![]));
-        let node = self.nodes.first().cloned();
+        let mut spec = template.get("spec").cloned().unwrap_or(Yaml::Map(vec![]));
         let mut metadata = yamlkit::ymap! {
-            "name" => pod_name,
+            "name" => owner.name.as_str(),
             "namespace" => owner.namespace.as_str(),
             "labels" => labels,
-            "ownerReferences" => Yaml::Seq(vec![owner_ref(owner_kind, &owner.name)]),
+            "ownerReferences" => Yaml::Seq(vec![owner_ref(&owner.kind, &owner.name)]),
         };
         if let Some(anns) = template.get_path(&["metadata", "annotations"]) {
             metadata.insert("annotations", anns.clone());
         }
-        let mut spec = spec;
         if spec.get("nodeName").is_none() {
-            if let Some(n) = node {
-                spec.insert("nodeName", Yaml::Str(n.name));
+            if let Some(n) = self.nodes.first() {
+                spec.insert("nodeName", Yaml::Str(n.name.clone()));
             }
         }
         let body = yamlkit::ymap! {
@@ -1076,21 +1326,38 @@ impl Cluster {
             "metadata" => metadata,
             "spec" => spec,
         };
-        let r = Resource::from_yaml(body, &owner.namespace, self.now_ms).ok()?;
-        let key = r.key();
-        self.track_pod(&r);
-        self.insert_resource(r);
-        Some(key)
+        let mut pod = Resource::from_yaml(body, &owner.namespace, self.now_ms).ok()?;
+        pod.name = String::new();
+        pod.body
+            .get_mut("metadata")?
+            .insert("name", Yaml::Str(String::new()));
+        let (runtime, pulled) = self.model_runtime(&pod);
+        Some(PodPrototype {
+            pod,
+            runtime,
+            pulled,
+        })
     }
 
-    /// Computes the runtime model for a new pod.
-    fn track_pod(&mut self, pod: &Resource) {
+    /// Models a new pod's runtime and records its image pulls.
+    fn track_pod(&mut self, pod: &Resource) -> PodRuntime {
+        let (runtime, pulled) = self.model_runtime(pod);
+        let now = self.now_ms;
+        self.pulls
+            .extend(pulled.into_iter().map(|image| (image, now)));
+        runtime
+    }
+
+    /// The runtime model of a pod created now, and the images it pulls.
+    fn model_runtime(&self, pod: &Resource) -> (PodRuntime, Vec<String>) {
+        let mut pulled = Vec::new();
         let mut pull_ms = 0u64;
         let mut unpullable = false;
         let mut terminates: Option<u64> = None;
         let mut fails = false;
         let mut ready_delay = 200u64;
-        for c in pod.containers() {
+        let containers = pod.body.get_path(&["spec", "containers"]);
+        for c in containers.into_iter().flat_map(Yaml::items) {
             let image = c.get("image").map(Yaml::render_scalar).unwrap_or_default();
             match images::lookup(&image) {
                 Some(info) => {
@@ -1098,8 +1365,8 @@ impl Cluster {
                         info.size_mib,
                         self.pull_bandwidth_mbps,
                     ));
-                    self.pulls.push((image.clone(), self.now_ms));
-                    let command_finite = command_duration(&c);
+                    pulled.push(image);
+                    let command_finite = command_duration(c);
                     match (info.behavior, command_finite) {
                         (
                             _,
@@ -1131,150 +1398,124 @@ impl Cluster {
         }
         let created = self.now_ms;
         let pull_done = created + pull_ms.max(300);
-        self.pod_runtime.insert(
-            pod.key(),
-            PodRuntime {
-                created_ms: created,
-                pull_done_ms: pull_done,
-                ready_ms: pull_done + ready_delay,
-                terminates_ms: terminates.map(|d| pull_done + d),
-                fails,
-                unpullable,
-            },
-        );
+        let runtime = PodRuntime {
+            created_ms: created,
+            pull_done_ms: pull_done,
+            ready_ms: pull_done + ready_delay,
+            terminates_ms: terminates.map(|d| pull_done + d),
+            fails,
+            unpullable,
+            shown: None,
+            ip: None,
+        };
+        (runtime, pulled)
     }
 
+    /// Brings every pod's state to the current time, and gives a pod seen
+    /// for the first time its IP. The `status` a reader sees is built from
+    /// these when read ([`Cluster::materialize`]); the full-scan oracle
+    /// instead rebuilds every pod's stored status here, as the controller
+    /// once did.
     fn update_pods(&mut self) {
         let now = self.now_ms;
-        let node_ip = self.nodes.first().map(|n| n.ip.clone()).unwrap_or_default();
-        let keys: Vec<ResourceKey> = self
-            .resources
-            .values()
-            .filter(|r| r.kind == "Pod")
-            .map(Resource::key)
-            .collect();
-        for key in keys {
-            let runtime = match self.pod_runtime.get(&key) {
-                Some(rt) => *rt,
-                None => {
-                    // Pod applied before tracking existed (direct insert).
-                    let pod = self.resources.get(&key).expect("key from scan").clone();
-                    self.track_pod(&pod);
-                    self.pod_runtime[&key]
-                }
+        #[cfg(test)]
+        let (rebuild_all, node_ip) = (self.full_scan(), self.node_ip().to_owned());
+        let bounds = self.kind_bounds("Pod", None);
+        for entry in self.resources.range_mut(bounds).map(|(_, e)| e) {
+            let Some(runtime) = &mut entry.runtime else {
+                continue;
             };
-            let ip_suffix = {
-                // Stable pod IP derived once, stored in status.
-                let pod = self.resources.get(&key).expect("key from scan");
-                pod.status.get("podIP").map(Yaml::render_scalar)
-            };
-            let pod_ip = ip_suffix.unwrap_or_else(|| {
-                let ip = format!("10.244.0.{}", self.ip_counter);
+            if runtime.ip.is_none() {
+                runtime.ip = Some(self.ip_counter);
                 self.ip_counter += 1;
-                ip
-            });
-            let pod = self.resources.get_mut(&key).expect("key from scan");
-            let (phase, ready, waiting_reason): (&str, bool, Option<&str>) = if runtime.unpullable {
-                ("Pending", false, Some("ImagePullBackOff"))
-            } else if now < runtime.pull_done_ms {
-                ("Pending", false, Some("ContainerCreating"))
-            } else if let Some(t) = runtime.terminates_ms {
-                if now >= t {
-                    (
-                        if runtime.fails { "Failed" } else { "Succeeded" },
-                        false,
-                        None,
-                    )
-                } else {
-                    ("Running", now >= runtime.ready_ms, None)
-                }
-            } else {
-                ("Running", now >= runtime.ready_ms, None)
-            };
-            let containers = pod.containers();
-            let mut statuses = Vec::new();
-            for c in &containers {
-                let cname = c.get("name").map(Yaml::render_scalar).unwrap_or_default();
-                let image = c.get("image").map(Yaml::render_scalar).unwrap_or_default();
-                let state = match (phase, waiting_reason) {
-                    (_, Some(reason)) => yamlkit::ymap! {
-                        "waiting" => yamlkit::ymap! { "reason" => reason, "message" => "" },
-                    },
-                    ("Succeeded", _) | ("Failed", _) => yamlkit::ymap! {
-                        "terminated" => yamlkit::ymap! {
-                            "exitCode" => if runtime.fails { 1i64 } else { 0i64 },
-                            "reason" => if runtime.fails { "Error" } else { "Completed" },
-                        },
-                    },
-                    _ => yamlkit::ymap! {
-                        "running" => yamlkit::ymap! { "startedAt" => format_sim_time(runtime.pull_done_ms) },
-                    },
-                };
-                statuses.push(yamlkit::ymap! {
-                    "name" => cname,
-                    "image" => image,
-                    "ready" => ready,
-                    "restartCount" => 0i64,
-                    "state" => state,
-                });
             }
-            pod.status = yamlkit::ymap! {
-                "phase" => phase,
-                "podIP" => pod_ip.as_str(),
-                "hostIP" => node_ip.as_str(),
-                "startTime" => format_sim_time(runtime.created_ms),
-                "containerStatuses" => Yaml::Seq(statuses),
-            };
-            pod.set_condition("PodScheduled", true, now);
-            pod.set_condition("Initialized", true, now);
-            pod.set_condition("ContainersReady", ready, now);
-            pod.set_condition("Ready", ready, now);
+            let state = runtime.state_at(now);
+            if runtime.shown != Some(state) {
+                runtime.shown = Some(state);
+                self.memo.revision += 1;
+            }
+            #[cfg(test)]
+            if rebuild_all {
+                let pod = &mut entry.resource;
+                let containers = pod.body.get_path(&["spec", "containers"]);
+                pod.status = pod_status(runtime, containers, &node_ip, now);
+                self.clock
+                    .status_builds
+                    .set(self.clock.status_builds.get() + 1);
+            }
         }
     }
 
+    /// `entry`'s object as a reader sees it. A pod gets the status its
+    /// runtime shows, its conditions stamped at the last reconcile, which
+    /// is now: every change of the clock ends with a reconcile.
+    fn materialize(&self, entry: &Entry) -> Resource {
+        let mut r = entry.resource.clone();
+        if let (Some(runtime), false) = (&entry.runtime, self.full_scan()) {
+            let containers = r.body.get_path(&["spec", "containers"]);
+            r.status = pod_status(runtime, containers, self.node_ip(), self.now_ms);
+            #[cfg(test)]
+            self.clock
+                .status_builds
+                .set(self.clock.status_builds.get() + 1);
+        }
+        r
+    }
+
+    /// Every pod in store order, with the phase and IP its status shows,
+    /// without building the status: what the network model reads.
+    pub(crate) fn pod_views(&self) -> impl Iterator<Item = PodView<'_>> + '_ {
+        self.of_kind("Pod", None).map(|(_, e)| {
+            let pod = &e.resource;
+            #[cfg(test)]
+            if self.full_scan() {
+                return PodView {
+                    pod,
+                    phase: pod.status.get("phase").and_then(Yaml::as_str),
+                    ip: pod.status.get("podIP").map(Yaml::render_scalar),
+                };
+            }
+            let runtime = e.runtime.as_ref();
+            PodView {
+                pod,
+                phase: runtime.and_then(|rt| rt.shown).map(|state| state.phase),
+                ip: runtime.and_then(|rt| rt.ip).map(pod_ip),
+            }
+        })
+    }
+
+    /// The stored objects of `kind` in store order. A pod's status is not
+    /// stored (see [`Cluster::pod_views`]).
+    pub(crate) fn stored<'a>(&'a self, kind: &'a str) -> impl Iterator<Item = &'a Resource> + 'a {
+        self.of_kind(kind, None).map(|(_, e)| &e.resource)
+    }
+
+    /// The IP of the node pods run on.
+    fn node_ip(&self) -> &str {
+        self.nodes.first().map_or("", |n| n.ip.as_str())
+    }
+
     fn update_workload_status(&mut self) {
-        let parents: Vec<Resource> = self
-            .resources
-            .values()
-            .filter(|r| {
-                matches!(
-                    r.kind.as_str(),
-                    "Deployment" | "ReplicaSet" | "DaemonSet" | "StatefulSet" | "Job"
-                )
-            })
-            .cloned()
-            .collect();
-        for parent in parents {
-            let pods: Vec<&Resource> = self
-                .resources
-                .values()
-                .filter(|r| {
-                    r.kind == "Pod"
-                        && r.namespace == parent.namespace
-                        && transitively_owned(self, r, &parent.kind, &parent.name)
-                })
-                .collect();
-            let ready = pods
-                .iter()
-                .filter(|p| p.condition("Ready") == Some(true))
-                .count() as i64;
-            let succeeded = pods
-                .iter()
-                .filter(|p| p.status.get("phase").and_then(Yaml::as_str) == Some("Succeeded"))
-                .count() as i64;
-            let failed = pods
-                .iter()
-                .filter(|p| p.status.get("phase").and_then(Yaml::as_str) == Some("Failed"))
-                .count() as i64;
-            let total = pods.len() as i64;
-            let now = self.now_ms;
-            let key = parent.key();
-            let Some(res) = self.resources.get_mut(&key) else {
+        let now = self.now_ms;
+        let counts = if self.memo.counted == Some(self.memo.revision) && !self.full_scan() {
+            std::mem::take(&mut self.memo.counts)
+        } else {
+            self.workload_counts()
+        };
+        for &(ref key, counts) in &counts {
+            let Some(entry) = self.resources.get_mut(key) else {
                 continue;
             };
-            match parent.kind.as_str() {
+            let res = &mut entry.resource;
+            let PodCounts {
+                total,
+                ready,
+                succeeded,
+                failed,
+            } = counts;
+            match key.kind.as_str() {
                 "Job" => {
-                    let completions = parent
+                    let completions = res
                         .body
                         .get_path(&["spec", "completions"])
                         .and_then(Yaml::as_i64)
@@ -1299,7 +1540,7 @@ impl Cluster {
                     };
                 }
                 _ => {
-                    let desired = parent.replicas();
+                    let desired = res.replicas();
                     res.status = yamlkit::ymap! {
                         "replicas" => total,
                         "readyReplicas" => ready,
@@ -1312,45 +1553,86 @@ impl Cluster {
                 }
             }
         }
+        self.memo.counts = counts;
+        self.memo.counted = Some(self.memo.revision);
+    }
+
+    /// Every workload's key, in store order, with the counts of the pods
+    /// in its namespace it owns: directly, or for a Deployment through a
+    /// ReplicaSet it owns. One pass over the pods attributes each to the
+    /// workloads its `ownerReferences` name, once each.
+    fn workload_counts(&self) -> Vec<(ResourceKey, PodCounts)> {
+        #[cfg(test)]
+        if self.full_scan() {
+            return self.workload_counts_by_scan();
+        }
+        let keys: Vec<&ResourceKey> = WORKLOAD_KINDS
+            .iter()
+            .flat_map(|kind| self.of_kind(kind, None))
+            .map(|(k, _)| k)
+            .collect();
+        let find = |kind: &str, namespace: &str, name: &str| {
+            keys.binary_search_by(|k| {
+                (k.kind.as_str(), k.namespace.as_str(), k.name.as_str())
+                    .cmp(&(kind, namespace, name))
+            })
+            .ok()
+        };
+        // For each ReplicaSet among the workloads, the Deployments among
+        // them that own it.
+        let rs_owners: Vec<Vec<usize>> = keys
+            .iter()
+            .map(|k| {
+                if k.kind != "ReplicaSet" {
+                    return Vec::new();
+                }
+                owner_keys(&k.namespace, &self.resources[*k].resource.body)
+                    .into_iter()
+                    .filter(|o| o.kind == "Deployment")
+                    .filter_map(|o| find(&o.kind, &o.namespace, &o.name))
+                    .collect()
+            })
+            .collect();
+        let mut counts = vec![PodCounts::default(); keys.len()];
+        let mut counted_by = Vec::new();
+        for (_, entry) in self.of_kind("Pod", None) {
+            let pod = &entry.resource;
+            counted_by.clear();
+            for owner in owner_refs(&pod.body) {
+                let kind = owner.get("kind").and_then(Yaml::as_str);
+                let name = owner.get("name");
+                if let (Some(kind), Some(name)) = (kind, name.and_then(Yaml::as_str)) {
+                    counted_by.extend(find(kind, &pod.namespace, name));
+                }
+                if kind == Some("ReplicaSet") {
+                    let rs = name.map(Yaml::render_scalar_ref).unwrap_or_default();
+                    if let Some(rs) = find("ReplicaSet", &pod.namespace, &rs) {
+                        counted_by.extend(&rs_owners[rs]);
+                    }
+                }
+            }
+            counted_by.sort_unstable();
+            counted_by.dedup();
+            let shown = entry.runtime.and_then(|rt| rt.shown);
+            for &i in &counted_by {
+                counts[i].add(shown.is_some_and(|s| s.ready), shown.map(|s| s.phase));
+            }
+        }
+        keys.into_iter().cloned().zip(counts).collect()
     }
 
     fn reconcile_services(&mut self) {
-        let services: Vec<Resource> = self
-            .resources
-            .values()
-            .filter(|r| r.kind == "Service")
-            .cloned()
-            .collect();
-        for svc in services {
-            let selector = svc
-                .body
-                .get_path(&["spec", "selector"])
-                .map(Selector::from_spec)
-                .unwrap_or_default();
-            let endpoints: Vec<String> = if selector.is_empty() {
-                Vec::new()
-            } else {
-                self.resources
-                    .values()
-                    .filter(|r| {
-                        r.kind == "Pod"
-                            && r.namespace == svc.namespace
-                            && selector.matches(&r.labels)
-                            && r.condition("Ready") == Some(true)
-                    })
-                    .filter_map(|p| p.status.get("podIP").map(Yaml::render_scalar))
-                    .collect()
-            };
+        // Endpoint lists change only with the memo's revision.
+        let unchanged = self.memo.endpoints == Some(self.memo.revision) && !self.full_scan();
+        self.memo.endpoints = Some(self.memo.revision);
+        for key in self.keys_of_kind("Service") {
+            let svc = &self.resources[&key].resource;
+            let endpoints = if unchanged { None } else { self.endpoints(svc) };
             let now = self.now_ms;
             let created = svc.created_at_ms;
-            let key = svc.key();
-            let svc_type = service_type(&svc);
+            let svc_type = service_type(svc);
             // Assign stable virtual IPs/ports once.
-            let needs_cluster_ip = {
-                let r = self.resources.get(&key).expect("svc key");
-                r.status.get("clusterIP").is_none()
-            };
-            if needs_cluster_ip {
+            if svc.status.get("clusterIP").is_none() {
                 let ip = format!("10.96.0.{}", self.ip_counter);
                 self.ip_counter += 1;
                 let node_port = if svc_type == "NodePort" || svc_type == "LoadBalancer" {
@@ -1359,7 +1641,7 @@ impl Cluster {
                 } else {
                     None
                 };
-                let r = self.resources.get_mut(&key).expect("svc key");
+                let r = &mut self.resources.get_mut(&key).expect("svc key").resource;
                 if r.status.is_null() {
                     r.status = Yaml::Map(vec![]);
                 }
@@ -1368,11 +1650,10 @@ impl Cluster {
                     r.status.insert("nodePort", Yaml::Int(i64::from(np)));
                 }
             }
-            let r = self.resources.get_mut(&key).expect("svc key");
-            r.status.insert(
-                "endpoints",
-                Yaml::Seq(endpoints.iter().map(|e| Yaml::Str(e.clone())).collect()),
-            );
+            let r = &mut self.resources.get_mut(&key).expect("svc key").resource;
+            if let Some(endpoints) = endpoints {
+                r.status.insert("endpoints", endpoints);
+            }
             // LoadBalancer external IP arrives after a short provisioning
             // delay, like minikube tunnel / cloud LBs.
             if svc_type == "LoadBalancer" && now.saturating_sub(created) >= 2_000 {
@@ -1386,16 +1667,54 @@ impl Cluster {
         }
     }
 
+    /// The endpoint list `svc` should show: the IPs of the ready pods its
+    /// selector matches in its namespace. `None` when it shows them.
+    fn endpoints(&self, svc: &Resource) -> Option<Yaml> {
+        let selector = svc
+            .body
+            .get_path(&["spec", "selector"])
+            .map(Selector::from_spec)
+            .unwrap_or_default();
+        let ips: Vec<String> = if selector.is_empty() {
+            Vec::new()
+        } else {
+            self.of_kind("Pod", Some(&svc.namespace))
+                .map(|(_, e)| e)
+                .filter(|e| selector.matches(&e.resource.labels))
+                .filter_map(|e| self.ready_pod_ip(e))
+                .collect()
+        };
+        let shown = svc.status.get("endpoints");
+        let same = shown.and_then(Yaml::seq_len) == Some(ips.len())
+            && shown
+                .into_iter()
+                .flat_map(Yaml::items)
+                .zip(&ips)
+                .all(|(old, new)| old.as_str() == Some(new));
+        (!same).then(|| Yaml::Seq(ips.into_iter().map(Yaml::Str).collect()))
+    }
+
+    /// The IP of a pod whose status shows it ready.
+    fn ready_pod_ip(&self, pod: &Entry) -> Option<String> {
+        #[cfg(test)]
+        if self.full_scan() {
+            let r = &pod.resource;
+            return (r.condition("Ready") == Some(true))
+                .then(|| r.status.get("podIP").map(Yaml::render_scalar))
+                .flatten();
+        }
+        let runtime = pod.runtime.as_ref()?;
+        runtime
+            .shown
+            .filter(|state| state.ready)
+            .and(runtime.ip)
+            .map(pod_ip)
+    }
+
     fn reconcile_ingresses(&mut self) {
-        let keys: Vec<ResourceKey> = self
-            .resources
-            .values()
-            .filter(|r| r.kind == "Ingress")
-            .map(Resource::key)
-            .collect();
         let now = self.now_ms;
-        for key in keys {
-            let r = self.resources.get_mut(&key).expect("ingress key");
+        for key in self.keys_of_kind("Ingress") {
+            let r = &mut self.resources.get_mut(&key).expect("ingress key").resource;
             if r.status.is_null() {
                 r.status = Yaml::Map(vec![]);
             }
@@ -1413,15 +1732,9 @@ impl Cluster {
     }
 
     fn reconcile_hpas(&mut self) {
-        let keys: Vec<ResourceKey> = self
-            .resources
-            .values()
-            .filter(|r| r.kind == "HorizontalPodAutoscaler")
-            .map(Resource::key)
-            .collect();
-        for key in keys {
+        for key in self.keys_of_kind("HorizontalPodAutoscaler") {
             let (target_kind, target_name, min) = {
-                let r = self.resources.get(&key).expect("hpa key");
+                let r = &self.resources[&key].resource;
                 (
                     r.body
                         .get_path(&["spec", "scaleTargetRef", "kind"])
@@ -1438,15 +1751,11 @@ impl Cluster {
                 )
             };
             let current = self
-                .get(
-                    &target_kind,
-                    Some(&key.namespace.clone()),
-                    Some(&target_name),
-                )
+                .get(&target_kind, Some(&key.namespace), Some(&target_name))
                 .first()
                 .map(Resource::replicas)
                 .unwrap_or(0);
-            let r = self.resources.get_mut(&key).expect("hpa key");
+            let r = &mut self.resources.get_mut(&key).expect("hpa key").resource;
             r.status = yamlkit::ymap! {
                 "currentReplicas" => current,
                 "desiredReplicas" => current.max(min),
@@ -1456,31 +1765,26 @@ impl Cluster {
     }
 
     fn reconcile_istio(&mut self) {
-        let keys: Vec<ResourceKey> = self
-            .resources
-            .values()
-            .filter(|r| {
-                matches!(
-                    r.kind.as_str(),
-                    "VirtualService" | "DestinationRule" | "Gateway"
-                )
-            })
-            .map(Resource::key)
-            .collect();
         let now = self.now_ms;
-        for key in keys {
-            let r = self.resources.get_mut(&key).expect("istio key");
-            r.set_condition("Reconciled", true, now);
+        for kind in ["DestinationRule", "Gateway", "VirtualService"] {
+            for key in self.keys_of_kind(kind) {
+                let r = &mut self.resources.get_mut(&key).expect("istio key").resource;
+                r.set_condition("Reconciled", true, now);
+            }
         }
     }
 }
 
 #[cfg(test)]
 impl Cluster {
-    /// A fresh cluster on the stepwise oracle clock.
-    pub(crate) fn new_stepwise() -> Cluster {
+    /// A fresh cluster with the behaviour the fast paths are tested
+    /// against: the stepwise clock, full store scans instead of the kind
+    /// and owner indexes, and a rebuild of every pod's status on every
+    /// reconcile.
+    pub(crate) fn new_oracle() -> Cluster {
         let mut cluster = Cluster::new();
         cluster.clock.stepwise = true;
+        cluster.clock.full_scan = true;
         cluster
     }
 
@@ -1489,15 +1793,170 @@ impl Cluster {
         self.clock.reconciles
     }
 
-    /// `Debug` of everything but the clock's bookkeeping: the state two
-    /// clocks must agree on.
+    /// Pod statuses built so far.
+    pub(crate) fn status_builds(&self) -> u64 {
+        self.clock.status_builds.get()
+    }
+
+    /// `Debug` of everything but the clock's bookkeeping and the memo,
+    /// with every object as a reader sees it: the state two clusters must
+    /// agree on.
     pub(crate) fn state_debug(&self) -> String {
-        let state = Cluster {
+        let mut state = Cluster {
             clock: Clock::default(),
+            memo: Memo::default(),
             ..self.clone()
         };
+        for (stored, shown) in state.resources.values_mut().zip(self.resources.values()) {
+            stored.resource = self.materialize(shown);
+        }
         format!("{state:?}")
     }
+
+    /// Panics unless every index equals its recomputation from a full
+    /// scan of the store: the owner index, the kind ranges and the runtime
+    /// models (on pods only). A fast cluster stores no pod status; the
+    /// oracle's stored statuses show the runtime's state.
+    pub(crate) fn check_indexes(&self) {
+        let mut owners = OwnerIndex::new();
+        for (key, e) in &self.resources {
+            let r = &e.resource;
+            for owner in owner_keys(&r.namespace, &r.body) {
+                owners.entry(owner).or_default().insert(key.clone());
+            }
+            assert_eq!(
+                e.runtime.is_some(),
+                r.kind == "Pod",
+                "runtime model of {key}"
+            );
+            if e.runtime.is_some() && !self.full_scan() {
+                assert!(r.status.is_null(), "stored status of {key}");
+            }
+            if let (Some(state), true) = (e.runtime.and_then(|rt| rt.shown), self.full_scan()) {
+                let phase = r.status.get("phase").and_then(Yaml::as_str);
+                assert_eq!(phase, Some(state.phase), "phase of {key}");
+                assert_eq!(
+                    r.condition("Ready"),
+                    Some(state.ready),
+                    "readiness of {key}"
+                );
+            }
+        }
+        assert_eq!(owners, self.owners, "owner index");
+        let ranges: BTreeSet<(&str, Option<&str>)> = self
+            .resources
+            .keys()
+            .flat_map(|k| {
+                [
+                    (k.kind.as_str(), None),
+                    (k.kind.as_str(), Some(k.namespace.as_str())),
+                ]
+            })
+            .collect();
+        for (kind, namespace) in ranges {
+            let ranged: Vec<&ResourceKey> = self
+                .resources
+                .range(index_bounds(kind, namespace))
+                .map(|(k, _)| k)
+                .collect();
+            let scanned: Vec<&ResourceKey> = self
+                .resources
+                .keys()
+                .filter(|k| in_kind(k, kind, namespace))
+                .collect();
+            assert_eq!(ranged, scanned, "kind range of {kind} in {namespace:?}");
+        }
+    }
+
+    /// [`Cluster::workload_counts`] as the controller counted before the
+    /// owner index: for each workload, a scan of the whole store.
+    fn workload_counts_by_scan(&self) -> Vec<(ResourceKey, PodCounts)> {
+        let stored = || self.resources.values().map(|e| &e.resource);
+        stored()
+            .filter(|r| WORKLOAD_KINDS.contains(&r.kind.as_str()))
+            .map(|parent| {
+                let mut counts = PodCounts::default();
+                for pod in stored().filter(|r| {
+                    r.kind == "Pod"
+                        && r.namespace == parent.namespace
+                        && transitively_owned(self, r, &parent.kind, &parent.name)
+                }) {
+                    let phase = pod.status.get("phase").and_then(Yaml::as_str);
+                    counts.add(pod.condition("Ready") == Some(true), phase);
+                }
+                (parent.key(), counts)
+            })
+            .collect()
+    }
+}
+
+/// The status of a pod in the state its runtime shows, every condition
+/// stamped `now` (what [`Resource::set_condition`] writes); `Null` before
+/// the pod's first reconcile.
+fn pod_status(runtime: &PodRuntime, containers: Option<&Yaml>, node_ip: &str, now: u64) -> Yaml {
+    let (
+        Some(PodState {
+            phase,
+            ready,
+            waiting_reason,
+        }),
+        Some(ip),
+    ) = (runtime.shown, runtime.ip)
+    else {
+        return Yaml::Null;
+    };
+    let mut statuses = Vec::new();
+    for c in containers.into_iter().flat_map(Yaml::items) {
+        let cname = c.get("name").map(Yaml::render_scalar).unwrap_or_default();
+        let image = c.get("image").map(Yaml::render_scalar).unwrap_or_default();
+        let state = match (phase, waiting_reason) {
+            (_, Some(reason)) => yamlkit::ymap! {
+                "waiting" => yamlkit::ymap! { "reason" => reason, "message" => "" },
+            },
+            ("Succeeded", _) | ("Failed", _) => yamlkit::ymap! {
+                "terminated" => yamlkit::ymap! {
+                    "exitCode" => if runtime.fails { 1i64 } else { 0i64 },
+                    "reason" => if runtime.fails { "Error" } else { "Completed" },
+                },
+            },
+            _ => yamlkit::ymap! {
+                "running" => yamlkit::ymap! { "startedAt" => format_sim_time(runtime.pull_done_ms) },
+            },
+        };
+        statuses.push(yamlkit::ymap! {
+            "name" => cname,
+            "image" => image,
+            "ready" => ready,
+            "restartCount" => 0i64,
+            "state" => state,
+        });
+    }
+    let stamp = format_sim_time(now);
+    let condition = |kind: &str, value: bool| {
+        yamlkit::ymap! {
+            "type" => kind,
+            "status" => if value { "True" } else { "False" },
+            "lastTransitionTime" => stamp.as_str(),
+        }
+    };
+    yamlkit::ymap! {
+        "phase" => phase,
+        "podIP" => pod_ip(ip),
+        "hostIP" => node_ip,
+        "startTime" => format_sim_time(runtime.created_ms),
+        "containerStatuses" => Yaml::Seq(statuses),
+        "conditions" => Yaml::Seq(vec![
+            condition("PodScheduled", true),
+            condition("Initialized", true),
+            condition("ContainersReady", ready),
+            condition("Ready", ready),
+        ]),
+    }
+}
+
+/// The IP of the pod given IP counter value `n`.
+fn pod_ip(n: u32) -> String {
+    format!("10.244.0.{n}")
 }
 
 /// A Service's `spec.type`, `ClusterIP` when unset.
@@ -1513,40 +1972,135 @@ fn owner_ref(kind: &str, name: &str) -> Yaml {
     yamlkit::ymap! { "kind" => kind, "name" => name, "controller" => true }
 }
 
-fn owned_by(r: &Resource, kind: &str, name: &str) -> bool {
-    r.body
-        .get_path(&["metadata", "ownerReferences"])
-        .map(|refs| {
-            refs.items().any(|o| {
-                o.get("kind").and_then(Yaml::as_str) == Some(kind)
-                    && o.get("name").and_then(Yaml::as_str) == Some(name)
+/// The `metadata.ownerReferences` entries of an object's body.
+fn owner_refs(body: &Yaml) -> impl Iterator<Item = &Yaml> {
+    body.get_path(&["metadata", "ownerReferences"])
+        .into_iter()
+        .flat_map(Yaml::items)
+}
+
+/// The owner-index keys of an object in `namespace`: one per owner
+/// reference whose kind and name are strings, the references an owner
+/// lookup matches.
+fn owner_keys(namespace: &str, body: &Yaml) -> Vec<ResourceKey> {
+    owner_refs(body)
+        .filter_map(|o| {
+            Some(ResourceKey {
+                kind: o.get("kind")?.as_str()?.to_owned(),
+                namespace: namespace.to_owned(),
+                name: o.get("name")?.as_str()?.to_owned(),
             })
         })
-        .unwrap_or(false)
+        .collect()
+}
+
+/// Owner key → keys of the objects whose owner references name it.
+type OwnerIndex = BTreeMap<ResourceKey, BTreeSet<ResourceKey>>;
+
+/// Adds `key` to the owner-index sets of `owners`.
+fn index(index: &mut OwnerIndex, key: &ResourceKey, owners: &[ResourceKey]) {
+    for owner in owners {
+        match index.get_mut(owner) {
+            Some(children) => {
+                children.insert(key.clone());
+            }
+            None => {
+                index.insert(owner.clone(), BTreeSet::from([key.clone()]));
+            }
+        }
+    }
+}
+
+/// Drops `key` from the owner-index sets of `owners`, and each set it
+/// leaves empty.
+fn unindex(index: &mut OwnerIndex, key: &ResourceKey, owners: &[ResourceKey]) {
+    for owner in owners {
+        if let Some(children) = index.get_mut(owner) {
+            children.remove(key);
+            if children.is_empty() {
+                index.remove(owner);
+            }
+        }
+    }
+}
+
+/// The store range of the objects of `kind` (in `namespace` when given).
+/// Appending `"\0"` to a string gives its successor in the store's byte
+/// order, so the exclusive upper bound stops right after the last key of
+/// the range.
+fn index_bounds(kind: &str, namespace: Option<&str>) -> (Bound<ResourceKey>, Bound<ResourceKey>) {
+    let key = |kind: &str, namespace: &str| ResourceKey {
+        kind: kind.to_owned(),
+        namespace: namespace.to_owned(),
+        name: String::new(),
+    };
+    match namespace {
+        Some(ns) => (
+            Bound::Included(key(kind, ns)),
+            Bound::Excluded(key(kind, &format!("{ns}\0"))),
+        ),
+        None => (
+            Bound::Included(key(kind, "")),
+            Bound::Excluded(key(&format!("{kind}\0"), "")),
+        ),
+    }
+}
+
+/// Whether `key` is of `kind` (and in `namespace` when given).
+fn in_kind(key: &ResourceKey, kind: &str, namespace: Option<&str>) -> bool {
+    key.kind == kind && namespace.is_none_or(|ns| key.namespace == ns)
+}
+
+/// Refuses a workload that asks for more than [`MAX_PODS_PER_WORKLOAD`]
+/// pods.
+fn enforce_workload_bound(r: &Resource) -> Result<(), ClusterError> {
+    let count = |path: &[&str]| r.body.get_path(path).and_then(Yaml::as_i64);
+    let requested = match r.kind.as_str() {
+        "Deployment" | "ReplicaSet" | "StatefulSet" => Some(r.replicas()),
+        "Job" => count(&["spec", "completions"]),
+        "CronJob" => count(&["spec", "jobTemplate", "spec", "completions"]),
+        _ => None,
+    };
+    match requested {
+        Some(pods) if pods > MAX_PODS_PER_WORKLOAD => Err(ClusterError::Forbidden(format!(
+            "{} \"{}\" is forbidden: exceeded quota: pods-per-workload, requested: pods={pods}, limited: pods={MAX_PODS_PER_WORKLOAD}",
+            r.kind.to_lowercase(),
+            r.name
+        ))),
+        _ => Ok(()),
+    }
+}
+
+#[cfg(test)]
+fn owned_by(r: &Resource, kind: &str, name: &str) -> bool {
+    owner_refs(&r.body).any(|o| {
+        o.get("kind").and_then(Yaml::as_str) == Some(kind)
+            && o.get("name").and_then(Yaml::as_str) == Some(name)
+    })
 }
 
 /// Pod owned by `kind/name` directly or through an intermediate ReplicaSet.
+#[cfg(test)]
 fn transitively_owned(cluster: &Cluster, pod: &Resource, kind: &str, name: &str) -> bool {
     if owned_by(pod, kind, name) {
         return true;
     }
     if kind == "Deployment" {
         // Pod -> ReplicaSet -> Deployment.
-        if let Some(refs) = pod.body.get_path(&["metadata", "ownerReferences"]) {
-            for o in refs.items() {
-                if o.get("kind").and_then(Yaml::as_str) == Some("ReplicaSet") {
-                    let rs_name = o.get("name").map(Yaml::render_scalar).unwrap_or_default();
-                    let rs_key = ResourceKey {
-                        kind: "ReplicaSet".into(),
-                        namespace: pod.namespace.clone(),
-                        name: rs_name,
-                    };
-                    if cluster
-                        .resource(&rs_key)
-                        .is_some_and(|rs| owned_by(rs, "Deployment", name))
-                    {
-                        return true;
-                    }
+        for o in owner_refs(&pod.body) {
+            if o.get("kind").and_then(Yaml::as_str) == Some("ReplicaSet") {
+                let rs_name = o.get("name").map(Yaml::render_scalar).unwrap_or_default();
+                let rs_key = ResourceKey {
+                    kind: "ReplicaSet".into(),
+                    namespace: pod.namespace.clone(),
+                    name: rs_name,
+                };
+                if cluster
+                    .resources
+                    .get(&rs_key)
+                    .is_some_and(|rs| owned_by(&rs.resource, "Deployment", name))
+                {
+                    return true;
                 }
             }
         }
@@ -1912,6 +2466,94 @@ spec:
     }
 
     #[test]
+    fn workloads_over_the_pod_bound_are_refused_before_any_pod_exists() {
+        let job = "apiVersion: batch/v1\nkind: Job\nmetadata:\n  name: many\nspec:\n  completions: 1000000\n  template:\n    spec:\n      containers:\n      - name: c\n        image: busybox\n        command: [\"echo\", \"hi\"]\n      restartPolicy: Never\n";
+        let cases = [
+            (
+                NGINX_DEPLOY.replace("replicas: 3", "replicas: 1000000"),
+                "deployment \"nginx-deployment\" is forbidden: exceeded quota: pods-per-workload, requested: pods=1000000, limited: pods=10000",
+            ),
+            (
+                job.to_owned(),
+                "job \"many\" is forbidden: exceeded quota: pods-per-workload, requested: pods=1000000, limited: pods=10000",
+            ),
+        ];
+        for (manifest, message) in cases {
+            let mut c = Cluster::new();
+            let err = c.apply_manifest(&manifest, "default").unwrap_err();
+            assert_eq!(err, ClusterError::Forbidden(message.to_owned()));
+            c.advance(60_000);
+            assert_eq!(c.all_resources().count(), 0, "{manifest}");
+        }
+    }
+
+    #[test]
+    fn pod_bound_covers_every_pod_count_field_and_admits_the_bound() {
+        let resource = |manifest: &str| {
+            let body = yamlkit::parse_one(manifest).unwrap().to_value();
+            Resource::from_yaml(body, "default", 0).unwrap()
+        };
+        let at = MAX_PODS_PER_WORKLOAD;
+        let over = MAX_PODS_PER_WORKLOAD + 1;
+        for (kind, field) in [
+            ("Deployment", "spec:\n  replicas"),
+            ("ReplicaSet", "spec:\n  replicas"),
+            ("StatefulSet", "spec:\n  replicas"),
+            ("Job", "spec:\n  completions"),
+            (
+                "CronJob",
+                "spec:\n  jobTemplate:\n    spec:\n      completions",
+            ),
+        ] {
+            let manifest = |n: i64| {
+                format!("apiVersion: v1\nkind: {kind}\nmetadata:\n  name: w\n{field}: {n}\n")
+            };
+            assert!(
+                enforce_workload_bound(&resource(&manifest(at))).is_ok(),
+                "{kind}"
+            );
+            let err = enforce_workload_bound(&resource(&manifest(over))).unwrap_err();
+            assert!(
+                err.to_string()
+                    .contains("exceeded quota: pods-per-workload"),
+                "{kind}: {err}"
+            );
+        }
+        let daemons = "apiVersion: apps/v1\nkind: DaemonSet\nmetadata:\n  name: d\nspec:\n  replicas: 1000000\n";
+        assert!(enforce_workload_bound(&resource(daemons)).is_ok());
+    }
+
+    #[test]
+    fn owner_index_follows_applies_that_change_owner_references() {
+        let mut c = Cluster::new();
+        c.apply_manifest(NGINX_DEPLOY, "default").unwrap();
+        let rs = c.get("ReplicaSet", Some("default"), None).pop().unwrap();
+        let pod = |owner: &str| {
+            format!(
+                "apiVersion: v1\nkind: Pod\nmetadata:\n  name: adopted\n  labels:\n    app: nginx\n{owner}spec:\n  containers:\n  - name: c\n    image: nginx\n"
+            )
+        };
+        let owned = format!(
+            "  ownerReferences:\n  - kind: ReplicaSet\n    name: {}\n",
+            rs.name
+        );
+        c.apply_manifest(&pod(&owned), "default").unwrap();
+        c.check_indexes();
+        // The adopted pod counts toward the Deployment through its
+        // ReplicaSet, and the ReplicaSet scales one of its own pods away.
+        c.advance(15_000);
+        let d = c.get("Deployment", Some("default"), None).pop().unwrap();
+        assert_eq!(d.status.get("replicas"), Some(&Yaml::Int(3)));
+        assert!(c.get("Pod", Some("default"), Some("adopted")).len() == 1);
+        c.apply_manifest(&pod(""), "default").unwrap();
+        c.check_indexes();
+        c.advance(15_000);
+        let d = c.get("Deployment", Some("default"), None).pop().unwrap();
+        assert_eq!(d.status.get("replicas"), Some(&Yaml::Int(3)));
+        assert_eq!(c.get("Pod", Some("default"), None).len(), 4);
+    }
+
+    #[test]
     fn namespace_delete_drops_its_pod_runtimes() {
         let mut c = Cluster::new();
         c.apply_manifest(
@@ -1923,10 +2565,17 @@ spec:
         c.apply_manifest(&in_dev, "default").unwrap();
         c.apply_manifest(NGINX_DEPLOY, "default").unwrap();
         c.advance(250);
-        assert_eq!(c.pod_runtime.len(), 6);
+        let runtimes = |c: &Cluster| -> Vec<ResourceKey> {
+            c.resources
+                .iter()
+                .filter(|(_, e)| e.runtime.is_some())
+                .map(|(k, _)| k.clone())
+                .collect()
+        };
+        assert_eq!(runtimes(&c).len(), 6);
         c.delete("namespace", "", "dev").unwrap();
-        assert!(c.pod_runtime.keys().all(|k| k.namespace == "default"));
-        assert_eq!(c.pod_runtime.len(), 3);
+        assert!(runtimes(&c).iter().all(|k| k.namespace == "default"));
+        assert_eq!(runtimes(&c).len(), 3);
         // Once the default pods are ready, nothing is left to wake for:
         // no deadline of a deleted pod lingers.
         c.advance(15_000);

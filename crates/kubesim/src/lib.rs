@@ -21,6 +21,17 @@
 //! clock, nothing sleeps for real, and the clock reconciles only at ticks
 //! where the cluster can change (see [`Cluster::advance`]).
 //!
+//! A reconcile's cost does not grow with the store once per workload. The
+//! store is ordered by kind, namespace and name, so each kind is one range
+//! of it (the kind index), and an owner index maps each owner named in an
+//! `ownerReferences` entry to the objects naming it. The private
+//! insert, remove and in-place update of an object are the only changes to
+//! which objects exist or whom they name as owners, and they maintain the
+//! owner index (see the [`cluster`] module). A pod's status is built when it
+//! is read, from the state the reconcile keeps in the pod's runtime model.
+//! Admission refuses a workload that asks for more than
+//! [`cluster::MAX_PODS_PER_WORKLOAD`] pods.
+//!
 //! # Examples
 //!
 //! ```

@@ -3,7 +3,7 @@
 
 use yamlkit::Yaml;
 
-use crate::cluster::Cluster;
+use crate::cluster::{Cluster, PodView};
 use crate::images::{self, ImageBehavior};
 use crate::resources::Resource;
 
@@ -75,10 +75,8 @@ pub fn curl(cluster: &Cluster, url: &str) -> Result<HttpResponse, CurlError> {
     }
 
     // 3. Pod IP.
-    if let Some(pod) = cluster.all_resources().find(|r| {
-        r.kind == "Pod" && r.status.get("podIP").map(Yaml::render_scalar).as_deref() == Some(&host)
-    }) {
-        return serve_container(pod, port);
+    if let Some(pod) = cluster.pod_views().find(|p| p.ip.as_deref() == Some(&host)) {
+        return serve_container(&pod, port);
     }
 
     if host.chars().next().is_some_and(|c| c.is_ascii_digit()) {
@@ -104,11 +102,11 @@ fn parse_url(url: &str) -> (String, u16, String) {
 }
 
 fn serve_host_port(cluster: &Cluster, port: u16) -> Option<Result<HttpResponse, CurlError>> {
-    for pod in cluster.all_resources().filter(|r| r.kind == "Pod") {
-        if pod.status.get("phase").and_then(Yaml::as_str) != Some("Running") {
+    for pod in cluster.pod_views() {
+        if pod.phase != Some("Running") {
             continue;
         }
-        for c in pod.containers() {
+        for c in pod.pod.containers() {
             for p in c.get("ports").into_iter().flat_map(Yaml::items) {
                 let host_port = p.get("hostPort").and_then(Yaml::as_i64);
                 if host_port == Some(i64::from(port)) {
@@ -116,7 +114,7 @@ fn serve_host_port(cluster: &Cluster, port: u16) -> Option<Result<HttpResponse, 
                         .get("containerPort")
                         .and_then(Yaml::as_i64)
                         .unwrap_or(i64::from(port)) as u16;
-                    return Some(serve_container(pod, target));
+                    return Some(serve_container(&pod, target));
                 }
             }
         }
@@ -125,7 +123,7 @@ fn serve_host_port(cluster: &Cluster, port: u16) -> Option<Result<HttpResponse, 
 }
 
 fn serve_node_port(cluster: &Cluster, port: u16) -> Option<Result<HttpResponse, CurlError>> {
-    for svc in cluster.all_resources().filter(|r| r.kind == "Service") {
+    for svc in cluster.stored("Service") {
         let node_port = svc.status.get("nodePort").and_then(Yaml::as_i64);
         let declared: Vec<i64> = svc
             .body
@@ -149,10 +147,7 @@ fn serve_node_port(cluster: &Cluster, port: u16) -> Option<Result<HttpResponse, 
 }
 
 fn find_service<'a>(cluster: &'a Cluster, host: &str) -> Option<&'a Resource> {
-    cluster.all_resources().find(|r| {
-        if r.kind != "Service" {
-            return false;
-        }
+    cluster.stored("Service").find(|r| {
         if r.status
             .get("clusterIP")
             .map(Yaml::render_scalar)
@@ -196,19 +191,14 @@ fn serve_service(cluster: &Cluster, svc: &Resource, port: u16) -> Result<HttpRes
         .map(Yaml::render_scalar)
         .collect();
     let pod = cluster
-        .all_resources()
-        .find(|r| {
-            r.kind == "Pod"
-                && r.status
-                    .get("podIP")
-                    .map(Yaml::render_scalar)
-                    .is_some_and(|ip| endpoints.contains(&ip))
-        })
+        .pod_views()
+        .find(|p| p.ip.as_ref().is_some_and(|ip| endpoints.contains(ip)))
         .ok_or(CurlError::ConnectionRefused)?;
     // Resolve targetPort: number, named container port, or the port itself.
     let target = match entry.get("targetPort") {
         Some(Yaml::Int(n)) => *n as u16,
         Some(Yaml::Str(name)) => pod
+            .pod
             .containers()
             .iter()
             .flat_map(|c| {
@@ -222,15 +212,15 @@ fn serve_service(cluster: &Cluster, svc: &Resource, port: u16) -> Result<HttpRes
             .unwrap_or(i64::from(port)) as u16,
         _ => port,
     };
-    serve_container(pod, target)
+    serve_container(&pod, target)
 }
 
 /// Serves a request hitting a specific pod container port.
-fn serve_container(pod: &Resource, port: u16) -> Result<HttpResponse, CurlError> {
-    if pod.status.get("phase").and_then(Yaml::as_str) != Some("Running") {
+fn serve_container(pod: &PodView<'_>, port: u16) -> Result<HttpResponse, CurlError> {
+    if pod.phase != Some("Running") {
         return Err(CurlError::ConnectionRefused);
     }
-    for c in pod.containers() {
+    for c in pod.pod.containers() {
         let image = c.get("image").map(Yaml::render_scalar).unwrap_or_default();
         let Some(info) = images::lookup(&image) else {
             continue;

@@ -142,15 +142,15 @@ impl Resource {
         self.to_yaml().get_path(path).cloned()
     }
 
-    /// The pod template spec for workload kinds, if present.
-    pub fn pod_template(&self) -> Option<Yaml> {
+    /// The pod template spec for workload kinds, if present, borrowed
+    /// from the body.
+    pub fn pod_template(&self) -> Option<&Yaml> {
         match self.kind.as_str() {
-            "Pod" => Some(self.body.clone()),
+            "Pod" => Some(&self.body),
             "CronJob" => self
                 .body
-                .get_path(&["spec", "jobTemplate", "spec", "template"])
-                .cloned(),
-            _ => self.body.get_path(&["spec", "template"]).cloned(),
+                .get_path(&["spec", "jobTemplate", "spec", "template"]),
+            _ => self.body.get_path(&["spec", "template"]),
         }
     }
 
