@@ -1162,7 +1162,7 @@ fi
 
 // ---------------------------------------------------------------------
 // Scenario templates (extended dataset): workload families added to
-// exercise the `Substrate` engine across richer Kubernetes surface —
+// exercise the unit-test substrate across richer Kubernetes surface —
 // CronJob policies, autoscaling/v2 HPAs, multi-path Ingresses,
 // NetworkPolicy allow rules, and ConfigMap-backed volumes.
 // ---------------------------------------------------------------------

@@ -3,7 +3,7 @@
 //!
 //! One scheduler runs every job: [`run_jobs_stream`] pulls
 //! `(record_index, job)` pairs from a channel as they arrive, executes
-//! them through the [`substrate::Substrate`] trait, and consults a
+//! them on a fresh [`substrate::ShellSubstrate`] sandbox, and consults a
 //! content-addressed score memo ([`crate::memo`]) so identical
 //! `(candidate, script)` pairs — ubiquitous under pass@k sampling —
 //! execute exactly once. [`run_jobs_cached`] (and [`run_jobs`], with a
@@ -17,7 +17,7 @@
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-use substrate::{content_hash, ShellSubstrate, Substrate};
+use substrate::{content_hash, ShellSubstrate};
 use yamlkit::PreparedDoc;
 
 use crate::memo::{CachedVerdict, ScoreMemo};

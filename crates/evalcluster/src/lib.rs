@@ -4,7 +4,7 @@
 //!
 //! * [`executor`] — the parallel unit-test engine: one scheduler,
 //!   [`executor::run_jobs_stream`], consumes jobs as they arrive and runs
-//!   them hermetically through the [`substrate::Substrate`] trait with
+//!   them hermetically on [`substrate::ShellSubstrate`] with
 //!   content-addressed score memoization; [`executor::run_jobs_cached`]
 //!   is its batch form over a slice of jobs;
 //! * [`memo`] — the `(candidate, script)` content-addressed verdict cache;

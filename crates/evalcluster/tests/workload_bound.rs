@@ -4,7 +4,7 @@
 //! exists, instead of building a million pods on the judging worker.
 
 use substrate::taxonomy::{classify_result, Bucket};
-use substrate::{ShellSubstrate, Substrate};
+use substrate::ShellSubstrate;
 
 /// Applies `manifest`, waits, then prints how many pods exist.
 const SCRIPT: &str =

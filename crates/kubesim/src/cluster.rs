@@ -447,7 +447,9 @@ impl Cluster {
                 .get(&yamlkit::doc::content_hash(manifest))
                 .cloned();
             if let Some(docs) = primed {
-                return self.apply_values(&docs, default_namespace);
+                // Cloning each body out of the shared documents replaces
+                // a full text parse.
+                return self.apply_owned(docs.to_vec(), default_namespace);
             }
         }
         let docs = yamlkit::parse(manifest)
@@ -463,30 +465,6 @@ impl Cluster {
     /// `PreparedDoc::content_hash`).
     pub fn prime_parsed(&mut self, hash: u64, docs: std::sync::Arc<Vec<Yaml>>) {
         self.primed.insert(hash, docs);
-    }
-
-    /// Applies pre-parsed documents directly — the parse-once entry point
-    /// backends with a `PreparedDoc` in hand call instead of
-    /// [`Cluster::apply_manifest`]. Same per-object messages, same error
-    /// classes (minus the parse error, which cannot happen here).
-    pub fn apply_docs(
-        &mut self,
-        docs: &[Yaml],
-        default_namespace: &str,
-    ) -> Result<Vec<String>, ClusterError> {
-        self.apply_values(docs, default_namespace)
-    }
-
-    /// Borrowed-slice apply: clones each body out of the (possibly
-    /// shared) slice. Used by the primed/pre-parsed paths, where a clone
-    /// replaces a full text parse; the cold text path goes through
-    /// [`Cluster::apply_owned`] and never clones.
-    fn apply_values(
-        &mut self,
-        docs: &[Yaml],
-        default_namespace: &str,
-    ) -> Result<Vec<String>, ClusterError> {
-        self.apply_owned(docs.to_vec(), default_namespace)
     }
 
     /// Shared tail of the apply paths: empty-stream checks + per-object
@@ -517,7 +495,7 @@ impl Cluster {
     /// # Errors
     ///
     /// Same classes as [`Cluster::apply_manifest`].
-    pub fn apply_object(
+    fn apply_object(
         &mut self,
         body: Yaml,
         default_namespace: &str,

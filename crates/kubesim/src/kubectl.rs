@@ -51,10 +51,7 @@ struct Flags {
     timeout_ms: Option<u64>,
     wait_for: Option<String>,
     all: bool,
-    replicas: Option<i64>,
     positional: Vec<String>,
-    from_literal: Vec<(String, String)>,
-    image: Option<String>,
 }
 
 fn parse_flags(args: &[String]) -> Result<Flags, String> {
@@ -93,17 +90,9 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
             }
             _ if a.starts_with("--for=") => f.wait_for = Some(a["--for=".len()..].to_owned()),
             "--all" => f.all = true,
-            _ if a.starts_with("--replicas=") => f.replicas = a["--replicas=".len()..].parse().ok(),
-            _ if a.starts_with("--from-literal=") => {
-                let kv = &a["--from-literal=".len()..];
-                let (k, v) = kv.split_once('=').ok_or("from-literal needs key=value")?;
-                f.from_literal.push((k.to_owned(), v.to_owned()));
-            }
-            _ if a.starts_with("--image=") => f.image = Some(a["--image=".len()..].to_owned()),
-            // Silently accepted no-op flags.
-            "--record" | "--save-config" | "--overwrite" | "--force" | "--wait=true"
-            | "--validate=true" | "--dry-run=none" | "--ignore-not-found" => {}
-            _ if a.starts_with("--") => { /* unknown long flags are tolerated */ }
+            // Other long flags (`--record`, `--overwrite`, ...) are
+            // accepted and ignored.
+            _ if a.starts_with("--") => {}
             _ => f.positional.push(a.to_owned()),
         }
         i += 1;
@@ -167,27 +156,14 @@ pub fn run(
                 Err(e) => render_apply_error(file, &e),
             }
         }
-        "create" => create_imperative(cluster, &flags, &ns),
+        "create" => create_namespace(cluster, &flags),
         "delete" => delete_cmd(cluster, &flags, &ns, stdin, resolve_file),
         "get" => get_cmd(cluster, &flags, &ns),
         "wait" => wait_cmd(cluster, &flags, &ns),
         "describe" => describe_cmd(cluster, &flags, &ns),
         "logs" => logs_cmd(cluster, &flags, &ns),
-        "scale" => scale_cmd(cluster, &flags, &ns),
         "rollout" => rollout_cmd(cluster, &flags, &ns),
-        "label" | "annotate" => KubectlResult::ok(""),
-        "cluster-info" => {
-            KubectlResult::ok("Kubernetes control plane is running at https://192.168.49.2:8443\n")
-        }
-        "version" => {
-            KubectlResult::ok("Client Version: v1.28.0-sim\nServer Version: v1.28.0-sim\n")
-        }
-        "config" => KubectlResult::ok("current-context: minikube\n"),
         "exec" => exec_cmd(cluster, &args[1..]),
-        "port-forward" | "top" => KubectlResult::err(
-            format!("error: {verb} is not supported by the simulator"),
-            1,
-        ),
         other => KubectlResult::err(format!("error: unknown command \"{other}\""), 1),
     }
 }
@@ -215,7 +191,7 @@ fn render_apply_error(file: &str, e: &ClusterError) -> KubectlResult {
     KubectlResult::err(msg, 1)
 }
 
-fn create_imperative(cluster: &mut Cluster, flags: &Flags, ns: &str) -> KubectlResult {
+fn create_namespace(cluster: &mut Cluster, flags: &Flags) -> KubectlResult {
     match flags.positional.first().map(String::as_str) {
         Some("namespace") | Some("ns") => {
             let Some(name) = flags.positional.get(1) else {
@@ -224,77 +200,6 @@ fn create_imperative(cluster: &mut Cluster, flags: &Flags, ns: &str) -> KubectlR
             match cluster.create_namespace(name) {
                 Ok(()) => KubectlResult::ok(format!("namespace/{name} created\n")),
                 Err(e) => KubectlResult::err(format!("Error from server (AlreadyExists): {e}"), 1),
-            }
-        }
-        Some("configmap") | Some("cm") => {
-            let Some(name) = flags.positional.get(1) else {
-                return KubectlResult::err("error: configmap name required", 1);
-            };
-            let data = Yaml::Map(
-                flags
-                    .from_literal
-                    .iter()
-                    .map(|(k, v)| (k.clone(), Yaml::Str(v.clone())))
-                    .collect(),
-            );
-            let body = yamlkit::ymap! {
-                "apiVersion" => "v1",
-                "kind" => "ConfigMap",
-                "metadata" => yamlkit::ymap! { "name" => name.as_str(), "namespace" => ns },
-                "data" => data,
-            };
-            match cluster.apply_object(body, ns) {
-                Ok(_) => KubectlResult::ok(format!("configmap/{name} created\n")),
-                Err(e) => KubectlResult::err(e.to_string(), 1),
-            }
-        }
-        Some("secret") => {
-            // `kubectl create secret generic NAME --from-literal=...`
-            let Some(name) = flags.positional.get(2).or_else(|| flags.positional.get(1)) else {
-                return KubectlResult::err("error: secret name required", 1);
-            };
-            let data = Yaml::Map(
-                flags
-                    .from_literal
-                    .iter()
-                    .map(|(k, v)| (k.clone(), Yaml::Str(base64ish(v))))
-                    .collect(),
-            );
-            let body = yamlkit::ymap! {
-                "apiVersion" => "v1",
-                "kind" => "Secret",
-                "metadata" => yamlkit::ymap! { "name" => name.as_str(), "namespace" => ns },
-                "type" => "Opaque",
-                "data" => data,
-            };
-            match cluster.apply_object(body, ns) {
-                Ok(_) => KubectlResult::ok(format!("secret/{name} created\n")),
-                Err(e) => KubectlResult::err(e.to_string(), 1),
-            }
-        }
-        Some("deployment") | Some("deploy") => {
-            let Some(name) = flags.positional.get(1) else {
-                return KubectlResult::err("error: deployment name required", 1);
-            };
-            let image = flags.image.clone().unwrap_or_else(|| "nginx".to_owned());
-            let body = yamlkit::ymap! {
-                "apiVersion" => "apps/v1",
-                "kind" => "Deployment",
-                "metadata" => yamlkit::ymap! { "name" => name.as_str(), "namespace" => ns },
-                "spec" => yamlkit::ymap! {
-                    "replicas" => 1i64,
-                    "selector" => yamlkit::ymap! { "matchLabels" => yamlkit::ymap! { "app" => name.as_str() } },
-                    "template" => yamlkit::ymap! {
-                        "metadata" => yamlkit::ymap! { "labels" => yamlkit::ymap! { "app" => name.as_str() } },
-                        "spec" => yamlkit::ymap! {
-                            "containers" => Yaml::Seq(vec![yamlkit::ymap! { "name" => name.as_str(), "image" => image }]),
-                        },
-                    },
-                },
-            };
-            match cluster.apply_object(body, ns) {
-                Ok(_) => KubectlResult::ok(format!("deployment.apps/{name} created\n")),
-                Err(e) => KubectlResult::err(e.to_string(), 1),
             }
         }
         Some(other) => KubectlResult::err(format!("error: unknown create target {other:?}"), 1),
@@ -1119,27 +1024,6 @@ fn container_command(pod: &Resource, command: &[String], now_ms: u64) -> Kubectl
     }
 }
 
-fn scale_cmd(cluster: &mut Cluster, flags: &Flags, ns: &str) -> KubectlResult {
-    let Some(replicas) = flags.replicas else {
-        return KubectlResult::err("error: --replicas is required", 1);
-    };
-    let (kind, resources) = match lookup_resources(cluster, flags, ns) {
-        Ok(r) => r,
-        Err(e) => return e,
-    };
-    let mut out = String::new();
-    for r in resources {
-        let mut body = r.body.clone();
-        if let Some(spec) = body.get_mut("spec") {
-            spec.insert("replicas", Yaml::Int(replicas));
-        }
-        if cluster.apply_object(body, ns).is_ok() {
-            out.push_str(&format!("{}/{} scaled\n", kind.to_lowercase(), r.name));
-        }
-    }
-    KubectlResult::ok(out)
-}
-
 fn rollout_cmd(cluster: &mut Cluster, flags: &Flags, ns: &str) -> KubectlResult {
     if flags.positional.first().map(String::as_str) != Some("status") {
         return KubectlResult::err("error: only `rollout status` is supported", 1);
@@ -1176,34 +1060,6 @@ fn rollout_cmd(cluster: &mut Cluster, flags: &Flags, ns: &str) -> KubectlResult 
         }
         advance_to_next_poll(cluster, deadline);
     }
-}
-
-/// Not real base64 — a stable placeholder encoding for simulated secrets.
-fn base64ish(v: &str) -> String {
-    const TABLE: &[u8] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
-    let bytes = v.as_bytes();
-    let mut out = String::new();
-    for chunk in bytes.chunks(3) {
-        let b = [
-            chunk[0],
-            *chunk.get(1).unwrap_or(&0),
-            *chunk.get(2).unwrap_or(&0),
-        ];
-        let n = (u32::from(b[0]) << 16) | (u32::from(b[1]) << 8) | u32::from(b[2]);
-        out.push(TABLE[(n >> 18) as usize & 63] as char);
-        out.push(TABLE[(n >> 12) as usize & 63] as char);
-        out.push(if chunk.len() > 1 {
-            TABLE[(n >> 6) as usize & 63] as char
-        } else {
-            '='
-        });
-        out.push(if chunk.len() > 2 {
-            TABLE[n as usize & 63] as char
-        } else {
-            '='
-        });
-    }
-    out
 }
 
 #[cfg(test)]
@@ -1366,12 +1222,10 @@ mod tests {
     }
 
     #[test]
-    fn scale_and_rollout_status() {
+    fn rollout_status_waits_for_every_replica() {
         let mut c = Cluster::new();
-        let deploy = "apiVersion: apps/v1\nkind: Deployment\nmetadata:\n  name: d\nspec:\n  replicas: 1\n  selector:\n    matchLabels:\n      app: d\n  template:\n    metadata:\n      labels:\n        app: d\n    spec:\n      containers:\n      - name: c\n        image: nginx\n";
+        let deploy = "apiVersion: apps/v1\nkind: Deployment\nmetadata:\n  name: d\nspec:\n  replicas: 3\n  selector:\n    matchLabels:\n      app: d\n  template:\n    metadata:\n      labels:\n        app: d\n    spec:\n      containers:\n      - name: c\n        image: nginx\n";
         run(&mut c, &argv("apply -f -"), deploy, &no_fs);
-        let r = run(&mut c, &argv("scale deployment d --replicas=3"), "", &no_fs);
-        assert!(r.stdout.contains("scaled"));
         let r = run(
             &mut c,
             &argv("rollout status deployment/d --timeout=120s"),
@@ -1426,25 +1280,6 @@ mod tests {
             &no_fs,
         );
         assert_eq!(r.code, 0);
-    }
-
-    #[test]
-    fn create_configmap_from_literal() {
-        let mut c = Cluster::new();
-        let r = run(
-            &mut c,
-            &argv("create configmap app-config --from-literal=mode=prod --from-literal=retries=3"),
-            "",
-            &no_fs,
-        );
-        assert_eq!(r.code, 0, "{}", r.stderr);
-        let r = run(
-            &mut c,
-            &argv("get configmap app-config -o jsonpath={.data.mode}"),
-            "",
-            &no_fs,
-        );
-        assert_eq!(r.stdout, "prod");
     }
 
     #[test]

@@ -13,8 +13,9 @@
 //!   Service endpoints, Ingress, HPA, Istio CRDs);
 //! * strict-decoding [`schema`]s that reproduce the API server's
 //!   unknown-field errors (the paper's Appendix C.3 debugging problem);
-//! * a [`kubectl`] facade (apply/get/wait/describe/delete/logs/scale/
-//!   rollout) with JSONPath output;
+//! * a [`kubectl`] facade with the verbs the unit-test scripts use
+//!   (apply, create, get, wait, describe, delete, logs, exec and
+//!   `rollout status`) and JSONPath output;
 //! * [`net::curl`] — simulated cluster networking for functional probes.
 //!
 //! Time is virtual: `kubectl wait --timeout=60s` advances the simulated

@@ -70,18 +70,10 @@ impl ClusterSandbox {
         };
         // A loaded Envoy config owns localhost listener ports.
         if let Some(status_body) = self.try_envoy(&url) {
-            return render_curl(status_body, silent, out_file, write_format, self);
+            return render_curl(status_body, silent, out_file, write_format);
         }
-        match curl(&self.cluster, &url) {
-            Ok(resp) => render_curl(
-                Ok((resp.status, resp.body)),
-                silent,
-                out_file,
-                write_format,
-                self,
-            ),
-            Err(e) => render_curl(Err(e), silent, out_file, write_format, self),
-        }
+        let result = curl(&self.cluster, &url).map(|resp| (resp.status, resp.body));
+        render_curl(result, silent, out_file, write_format)
     }
 
     /// Routes a URL through the loaded Envoy config when the host/port is
@@ -137,11 +129,21 @@ impl ClusterSandbox {
                     i += 1;
                 }
                 let Some(name) = name else {
-                    return ExecResult { stderr: "usage: minikube service NAME\n".into(), code: 64, ..Default::default() };
-                };
-                let Some(svc) = self.cluster.get("Service", Some(&namespace), Some(&name)).pop() else {
                     return ExecResult {
-                        stderr: format!("service '{name}' was not found in '{namespace}' namespace\n"),
+                        stderr: "usage: minikube service NAME\n".into(),
+                        code: 64,
+                        ..Default::default()
+                    };
+                };
+                let Some(svc) = self
+                    .cluster
+                    .get("Service", Some(&namespace), Some(&name))
+                    .pop()
+                else {
+                    return ExecResult {
+                        stderr: format!(
+                            "service '{name}' was not found in '{namespace}' namespace\n"
+                        ),
                         code: 80,
                         ..Default::default()
                     };
@@ -166,18 +168,12 @@ impl ClusterSandbox {
                     "* Opening service {namespace}/{name} in default browser...\n"
                 ));
                 // Holding the tunnel open blocks until interrupted.
-                ExecResult { stdout: out, blocking: true, ..Default::default() }
+                ExecResult {
+                    stdout: out,
+                    blocking: true,
+                    ..Default::default()
+                }
             }
-            Some("ip") => ExecResult { stdout: "192.168.49.2\n".into(), ..Default::default() },
-            Some("status") => ExecResult {
-                stdout: "minikube\ntype: Control Plane\nhost: Running\nkubelet: Running\napiserver: Running\nkubeconfig: Configured\n".into(),
-                ..Default::default()
-            },
-            Some("start") | Some("delete") | Some("stop") => ExecResult {
-                stdout: "* Done!\n".into(),
-                ..Default::default()
-            },
-            Some("addons") => ExecResult { stdout: "* enabled\n".into(), ..Default::default() },
             other => ExecResult {
                 stderr: format!("minikube: unknown command {other:?}\n"),
                 code: 64,
@@ -250,9 +246,7 @@ fn render_curl(
     silent: bool,
     out_file: Option<String>,
     write_format: Option<String>,
-    sandbox: &mut ClusterSandbox,
 ) -> ExecResult {
-    let _ = sandbox;
     match result {
         Ok((status, body)) => {
             let mut stdout = String::new();
@@ -315,7 +309,7 @@ impl Sandbox for ClusterSandbox {
                     blocking: false,
                 })
             }
-            "curl" | "wget" => Some(self.run_curl(args)),
+            "curl" => Some(self.run_curl(args)),
             "minikube" => Some(self.run_minikube(args)),
             "envoy" => Some(self.run_envoy(args, files)),
             "envoy-start" => {
@@ -335,10 +329,6 @@ impl Sandbox for ClusterSandbox {
                         stdout: "\u{2714} No validation issues found when analyzing namespace: default.\n".into(),
                         ..Default::default()
                     }),
-                    Some("version") => Some(ExecResult {
-                        stdout: "client version: 1.20.0-sim\n".into(),
-                        ..Default::default()
-                    }),
                     _ => Some(ExecResult {
                         stderr: "istioctl: unknown command\n".into(),
                         code: 64,
@@ -346,15 +336,6 @@ impl Sandbox for ClusterSandbox {
                     }),
                 }
             }
-            "docker" => match args.first().map(String::as_str) {
-                Some("ps") => Some(ExecResult {
-                    stdout: "CONTAINER ID   IMAGE   STATUS\n".into(),
-                    ..Default::default()
-                }),
-                _ => Some(ExecResult {
-                    ..Default::default()
-                }),
-            },
             _ => None,
         }
     }

@@ -1,59 +1,38 @@
 //! # substrate
 //!
-//! The unified execution substrate for CloudEval-YAML's function-level
-//! evaluation (§3.2–§3.3 of the paper): one `prepare → apply → assert →
-//! teardown` lifecycle over every backend that can judge a generated
-//! configuration by *running* it.
+//! The execution substrate for CloudEval-YAML's function-level evaluation
+//! (§3.2–§3.3 of the paper): a candidate configuration is judged by
+//! *running* its problem's hand-written unit-test script, not by diffing
+//! it against the reference.
 //!
-//! The paper's defining feature is practical evaluation — candidate YAML
-//! is applied to a live substrate (a Kubernetes cluster, an Envoy proxy, a
-//! bash test harness) and probed, not just diffed against a reference.
-//! Before this crate, each simulator exposed a bespoke API and the
-//! evaluation pipeline special-cased every backend. The [`Substrate`]
-//! trait is the seam they all plug into:
+//! [`ShellSubstrate`] is that judge. Each judgment mounts the candidate at
+//! [`CANDIDATE_FILE`] in a fresh simulated sandbox (a `kubesim` cluster
+//! plus the `kubectl`, `curl`, `minikube`, `envoy` and `istioctl` commands
+//! `minishell` wires to it) and interprets the script there. The script
+//! passes when its transcript contains `unit_test_passed`. A new sandbox
+//! per judgment is the clean-environment guarantee the paper gets from
+//! tearing minikube clusters down between problems.
 //!
-//! * [`ShellSubstrate`] — the production path: CloudEval bash unit-test
-//!   scripts interpreted by `minishell` against a fresh simulated cluster
-//!   sandbox (kubectl + curl + minikube + envoy + istioctl);
-//! * [`KubeSubstrate`] — direct-to-cluster: manifests applied to a
-//!   `kubesim` cluster and asserted with a small kubectl-shaped probe
-//!   language (no shell in the loop);
-//! * [`EnvoySubstrate`] — proxy-level: configurations validated by
-//!   `envoysim` and asserted with request-routing probes.
-//!
-//! All three speak the same result vocabulary — [`ExecOutcome`] for "the
-//! candidate ran, here is the verdict" and [`ExecError`] for "the
-//! candidate never got that far" — so schedulers, caches and analyses are
-//! backend-agnostic. Future backends (terraform-plan, docker-compose)
-//! implement the same four methods and inherit the whole pipeline.
-//!
-//! # Lifecycle contract
-//!
-//! 1. [`Substrate::prepare`] resets the backend to a pristine, hermetic
-//!    environment. It must be callable any number of times.
-//! 2. [`Substrate::apply`] loads one candidate configuration. Malformed or
-//!    rejected input returns a typed [`ExecError`]; the backend stays
-//!    usable afterwards.
-//! 3. [`Substrate::assert_check`] runs one assertion program in the
-//!    backend's probe language and reports pass/fail plus a transcript.
-//!    Asserting is read-mostly but may advance simulated time.
-//! 4. [`Substrate::teardown`] drops all applied state. It is idempotent:
-//!    tearing down twice equals tearing down once (verified by the
-//!    conformance suite for every backend).
-//!
-//! [`Substrate::execute`] packages the full lifecycle for one candidate.
+//! Results come in two shapes: [`ExecOutcome`] for "the script ran, here
+//! is the verdict" and [`ExecError`] for "the candidate never got that
+//! far". [`taxonomy`] folds both into the closed deployment-error buckets
+//! the repair loop learns from.
 //!
 //! # Examples
 //!
-//! ```
-//! use substrate::{EnvoySubstrate, Substrate};
+//! An Envoy problem's script validates the candidate, starts the proxy and
+//! probes its routing:
 //!
-//! let mut envoy = EnvoySubstrate::new();
-//! let outcome = envoy
-//!     .execute(
-//!         envoysim::SAMPLE_CONFIG,
-//!         "route 10000 example.com / => cluster service_backend",
-//!     )
+//! ```
+//! use substrate::ShellSubstrate;
+//!
+//! let script = "\
+//! envoy --mode validate -c labeled_code.yaml || exit 1
+//! envoy-start -c labeled_code.yaml
+//! body=$(curl -s localhost:10000/)
+//! [[ $body == *service_backend* ]] && echo unit_test_passed";
+//! let outcome = ShellSubstrate::new()
+//!     .execute(envoysim::SAMPLE_CONFIG, script)
 //!     .unwrap();
 //! assert!(outcome.passed);
 //! ```
@@ -61,19 +40,14 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod conformance;
-mod envoy;
-mod kube;
 mod shell;
 pub mod taxonomy;
 
-pub use envoy::EnvoySubstrate;
-pub use kube::KubeSubstrate;
-pub use shell::ShellSubstrate;
+pub use shell::{ShellSubstrate, CANDIDATE_FILE};
 
 use std::fmt;
 
-/// The verdict after a candidate was applied and asserted on a substrate.
+/// The verdict after a candidate's unit-test script ran.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExecOutcome {
     /// Did the assertion program pass?
@@ -87,36 +61,20 @@ pub struct ExecOutcome {
     pub simulated_ms: u64,
 }
 
-impl ExecOutcome {
-    /// A passing outcome with an empty transcript (test helper).
-    pub fn pass() -> ExecOutcome {
-        ExecOutcome {
-            passed: true,
-            transcript: String::new(),
-            simulated_ms: 0,
-        }
-    }
-}
-
 /// Why a candidate never produced an [`ExecOutcome`].
 ///
-/// The distinction mirrors the paper's Figure 7 failure taxonomy: a
-/// candidate can be broken *as text* (not parseable), broken *as
-/// configuration* (the substrate refuses it), or the probe machinery
-/// itself can fail (which is a harness bug or a malformed check, never the
-/// candidate's fault).
+/// Either the candidate is broken *as text* (not parseable), or the
+/// script itself could not run (a harness bug or a malformed check, never
+/// the candidate's fault). A candidate the cluster refuses is neither: the
+/// script runs, its `kubectl apply` fails, and the failing transcript
+/// says why.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ExecError {
-    /// The candidate is not syntactically valid for this substrate
-    /// (e.g. YAML that does not parse).
+    /// The candidate is not parseable YAML.
     InvalidInput(String),
-    /// The candidate parsed but the substrate rejected it at apply time
-    /// (strict-decoding violations, unknown kinds, invalid routes...).
-    Rejected(String),
-    /// The assertion program itself could not run (unknown probe verb,
-    /// interpreter error, fuel exhaustion). Distinct from a failing
-    /// assertion, which is a successful [`ExecOutcome`] with
-    /// `passed == false`.
+    /// The unit-test script itself could not run (interpreter parse
+    /// error, step budget exhausted). Distinct from a failing assertion,
+    /// which is a successful [`ExecOutcome`] with `passed == false`.
     Probe(String),
 }
 
@@ -124,14 +82,14 @@ impl ExecError {
     /// The error message without the variant prefix.
     pub fn message(&self) -> &str {
         match self {
-            ExecError::InvalidInput(m) | ExecError::Rejected(m) | ExecError::Probe(m) => m,
+            ExecError::InvalidInput(m) | ExecError::Probe(m) => m,
         }
     }
 
-    /// Whether the error is attributable to the candidate (input or
-    /// rejection) rather than to the harness (probe).
+    /// Whether the error is attributable to the candidate rather than to
+    /// the harness (probe).
     pub fn is_candidate_fault(&self) -> bool {
-        !matches!(self, ExecError::Probe(_))
+        matches!(self, ExecError::InvalidInput(_))
     }
 
     /// Whether resubmitting the same candidate could plausibly change the
@@ -147,111 +105,12 @@ impl fmt::Display for ExecError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ExecError::InvalidInput(m) => write!(f, "invalid input: {m}"),
-            ExecError::Rejected(m) => write!(f, "rejected by substrate: {m}"),
             ExecError::Probe(m) => write!(f, "probe error: {m}"),
         }
     }
 }
 
 impl std::error::Error for ExecError {}
-
-/// A backend that can judge candidate configurations by executing them.
-///
-/// See the crate docs for the lifecycle contract. Implementations must be
-/// deterministic: the same `(manifest, check)` pair on a freshly prepared
-/// substrate always yields the same result — that determinism is what
-/// makes the evaluation engine's content-addressed score cache sound.
-pub trait Substrate {
-    /// Stable backend name for diagnostics and reports.
-    fn name(&self) -> &'static str;
-
-    /// Resets to a pristine, hermetic environment.
-    fn prepare(&mut self);
-
-    /// Loads one candidate configuration.
-    ///
-    /// # Errors
-    ///
-    /// [`ExecError::InvalidInput`] when the candidate does not parse,
-    /// [`ExecError::Rejected`] when the substrate refuses it.
-    fn apply(&mut self, manifest: &str) -> Result<(), ExecError>;
-
-    /// Runs one assertion program in the backend's probe language.
-    ///
-    /// # Errors
-    ///
-    /// [`ExecError::Probe`] when the program itself cannot run. A failing
-    /// assertion is **not** an error: it is `Ok` with `passed == false`.
-    fn assert_check(&mut self, check: &str) -> Result<ExecOutcome, ExecError>;
-
-    /// Drops all applied state. Idempotent.
-    fn teardown(&mut self);
-
-    /// Loads one candidate configuration from its parse-once prepared
-    /// form. The default forwards to [`Substrate::apply`] on the raw
-    /// text; backends that can consume parsed documents directly (the
-    /// kubesim backends) override this to skip the re-parse.
-    ///
-    /// # Errors
-    ///
-    /// Same classes as [`Substrate::apply`].
-    fn apply_prepared(&mut self, doc: &yamlkit::PreparedDoc) -> Result<(), ExecError> {
-        self.apply(doc.text())
-    }
-
-    /// Full lifecycle for one candidate: prepare, apply, assert, teardown.
-    ///
-    /// Wall-clock time for the whole lifecycle is recorded to the
-    /// `substrate_exec_us{backend=...}` histogram in [`obs::global`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first [`ExecError`] from apply or assert; teardown
-    /// runs regardless.
-    fn execute(&mut self, manifest: &str, check: &str) -> Result<ExecOutcome, ExecError> {
-        let started = std::time::Instant::now();
-        self.prepare();
-        let result = self.apply(manifest).and_then(|()| self.assert_check(check));
-        self.teardown();
-        record_exec(self.name(), started);
-        result
-    }
-
-    /// [`Substrate::execute`] from a prepared document: the candidate's
-    /// one-and-only parse happened when the [`yamlkit::PreparedDoc`] was
-    /// built; no layer underneath re-parses it.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Substrate::execute`].
-    fn execute_prepared(
-        &mut self,
-        doc: &yamlkit::PreparedDoc,
-        check: &str,
-    ) -> Result<ExecOutcome, ExecError> {
-        let started = std::time::Instant::now();
-        self.prepare();
-        let result = self
-            .apply_prepared(doc)
-            .and_then(|()| self.assert_check(check));
-        self.teardown();
-        record_exec(self.name(), started);
-        result
-    }
-}
-
-/// Records one full substrate lifecycle to `substrate_exec_us`, labelled
-/// by backend. Handle resolution is idempotent and cheap next to running
-/// a unit-test script, so no per-backend caching is needed here.
-fn record_exec(backend: &'static str, started: std::time::Instant) {
-    obs::global()
-        .histogram(
-            "substrate_exec_us",
-            &[("backend", backend)],
-            "wall-clock latency of one prepare/apply/assert/teardown lifecycle",
-        )
-        .record(started.elapsed());
-}
 
 /// 64-bit FNV-1a hash of a byte string.
 ///
@@ -286,8 +145,8 @@ mod tests {
 
     #[test]
     fn exec_error_accessors() {
-        let e = ExecError::Rejected("unknown field".into());
-        assert_eq!(e.message(), "unknown field");
+        let e = ExecError::InvalidInput("unclosed flow".into());
+        assert_eq!(e.message(), "unclosed flow");
         assert!(e.is_candidate_fault());
         assert!(!ExecError::Probe("bad verb".into()).is_candidate_fault());
         assert_eq!(

@@ -1,33 +1,37 @@
-//! The production substrate: CloudEval bash unit-test scripts interpreted
-//! by `minishell` against a fresh simulated cluster sandbox.
+//! The judge: CloudEval bash unit-test scripts interpreted by `minishell`
+//! against a fresh simulated cluster sandbox.
 
-use std::collections::HashMap;
+use std::time::Instant;
 
 use minishell::{ClusterSandbox, Interp};
+use yamlkit::PreparedDoc;
 
-use crate::{ExecError, ExecOutcome, Substrate};
+use crate::{ExecError, ExecOutcome};
 
 /// The candidate file name every CloudEval unit-test script references.
 pub const CANDIDATE_FILE: &str = "labeled_code.yaml";
 
 /// Bash-script substrate over a simulated cluster sandbox.
 ///
-/// This is the paper's real evaluation path: the hand-written unit-test
+/// This is the paper's evaluation path: the hand-written unit-test
 /// scripts (Appendix C) `kubectl apply` the candidate mounted at
-/// `labeled_code.yaml`, poll cluster state, curl endpoints and finally
-/// `echo unit_test_passed`. One `ShellSubstrate` = one isolated test
-/// environment; [`Substrate::prepare`] swaps in a brand-new cluster, which
-/// is the clean-environment guarantee the paper gets from tearing
-/// minikube clusters down between problems.
+/// [`CANDIDATE_FILE`], poll cluster state, curl endpoints and finally
+/// `echo unit_test_passed`. Every judgment runs in a brand-new
+/// [`ClusterSandbox`], so no state leaks from one candidate to the next.
 ///
-/// Probe language: the `minishell` bash subset (pipelines, `[[ ]]`,
-/// command substitution, `kubectl`/`curl`/`minikube`/`envoy`/`istioctl`).
-/// A check passes when its transcript contains `unit_test_passed`.
+/// Candidate text that does not parse as YAML is refused with
+/// [`ExecError::InvalidInput`] before any script runs; a script the
+/// interpreter cannot finish (parse error, step budget) is an
+/// [`ExecError::Probe`]. A script that runs but never prints the marker is
+/// a failing [`ExecOutcome`], not an error.
+///
+/// Every judgment's wall-clock time is recorded to the
+/// `substrate_exec_us{backend="minishell"}` histogram in [`obs::global`].
 ///
 /// # Examples
 ///
 /// ```
-/// use substrate::{ShellSubstrate, Substrate};
+/// use substrate::ShellSubstrate;
 ///
 /// let manifest = "apiVersion: v1\nkind: Pod\nmetadata:\n  name: web\n  labels:\n    app: t\nspec:\n  containers:\n  - name: c\n    image: nginx\n";
 /// let check = "kubectl apply -f labeled_code.yaml\nkubectl wait --for=condition=Ready pod -l app=t --timeout=60s && echo unit_test_passed";
@@ -35,96 +39,98 @@ pub const CANDIDATE_FILE: &str = "labeled_code.yaml";
 /// assert!(outcome.passed);
 /// ```
 #[derive(Debug, Default)]
-pub struct ShellSubstrate {
-    sandbox: ClusterSandbox,
-    files: HashMap<String, String>,
-    mounts: HashMap<String, String>,
-}
+pub struct ShellSubstrate;
 
 impl ShellSubstrate {
-    /// A fresh shell substrate (equivalent to `prepare` on default state).
+    /// The shell substrate.
     pub fn new() -> ShellSubstrate {
-        ShellSubstrate::default()
+        ShellSubstrate
     }
 
-    /// Mounts an extra fixture file into the script's virtual filesystem
-    /// (unit tests occasionally ship files besides the candidate).
-    /// Mounts are substrate configuration: they survive `prepare` and
-    /// `teardown` and are re-seeded into every lifecycle.
-    pub fn mount(&mut self, name: &str, contents: &str) {
-        self.mounts.insert(name.to_owned(), contents.to_owned());
-        self.files.insert(name.to_owned(), contents.to_owned());
+    /// Judges candidate text by running `check` against it in a fresh
+    /// sandbox.
+    ///
+    /// # Errors
+    ///
+    /// [`ExecError::InvalidInput`] when the candidate is not parseable
+    /// YAML, [`ExecError::Probe`] when the script itself cannot run.
+    pub fn execute(&self, manifest: &str, check: &str) -> Result<ExecOutcome, ExecError> {
+        let started = Instant::now();
+        let result = if yamlkit::parse(manifest).is_err() {
+            Err(invalid_input(manifest))
+        } else {
+            run_check(ClusterSandbox::new(), manifest, check)
+        };
+        record_exec(started);
+        result
+    }
+
+    /// [`ShellSubstrate::execute`] from a prepared document: the validity
+    /// check reads the cached parse, and the sandbox cluster is primed
+    /// with the shared parsed documents, so the script's `kubectl apply -f
+    /// labeled_code.yaml` skips its parse too. The candidate is parsed
+    /// exactly once, when the [`PreparedDoc`] was built.
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`ShellSubstrate::execute`].
+    pub fn execute_prepared(
+        &self,
+        doc: &PreparedDoc,
+        check: &str,
+    ) -> Result<ExecOutcome, ExecError> {
+        let started = Instant::now();
+        let result = if doc.parses() {
+            let mut sandbox = ClusterSandbox::new();
+            sandbox
+                .cluster
+                .prime_parsed(doc.content_hash(), doc.values_shared());
+            run_check(sandbox, doc.text(), check)
+        } else {
+            Err(invalid_input(doc.text()))
+        };
+        record_exec(started);
+        result
     }
 }
 
-impl Substrate for ShellSubstrate {
-    fn name(&self) -> &'static str {
-        "minishell"
-    }
+fn invalid_input(manifest: &str) -> ExecError {
+    ExecError::InvalidInput(format!(
+        "candidate is not parseable YAML ({} bytes)",
+        manifest.len()
+    ))
+}
 
-    fn prepare(&mut self) {
-        self.sandbox = ClusterSandbox::new();
-        self.files = self.mounts.clone();
+/// Mounts the candidate in `sandbox` and runs the script there.
+fn run_check(
+    mut sandbox: ClusterSandbox,
+    manifest: &str,
+    check: &str,
+) -> Result<ExecOutcome, ExecError> {
+    let mut shell = Interp::new(&mut sandbox);
+    shell
+        .files
+        .insert(CANDIDATE_FILE.to_owned(), manifest.to_owned());
+    match shell.run_script(check) {
+        Ok(outcome) => Ok(ExecOutcome {
+            passed: outcome.combined.contains("unit_test_passed"),
+            transcript: outcome.combined,
+            simulated_ms: sandbox.cluster.now_ms(),
+        }),
+        Err(e) => Err(ExecError::Probe(e.to_string())),
     }
+}
 
-    fn apply(&mut self, manifest: &str) -> Result<(), ExecError> {
-        // The script layer is the most permissive backend: it accepts any
-        // text (the script itself will fail on garbage), but flat-out
-        // unparseable YAML is reported as typed invalid input so callers
-        // can skip the script run entirely.
-        if yamlkit::parse(manifest).is_err() {
-            return Err(ExecError::InvalidInput(format!(
-                "candidate is not parseable YAML ({} bytes)",
-                manifest.len()
-            )));
-        }
-        self.files
-            .insert(CANDIDATE_FILE.to_owned(), manifest.to_owned());
-        Ok(())
-    }
-
-    fn apply_prepared(&mut self, doc: &yamlkit::PreparedDoc) -> Result<(), ExecError> {
-        // The validity gate reads the cached parse instead of re-parsing,
-        // and the sandbox cluster is primed with the shared parsed
-        // documents so the script's `kubectl apply -f labeled_code.yaml`
-        // skips its parse too — the candidate is parsed exactly once, at
-        // PreparedDoc construction.
-        if !doc.parses() {
-            return Err(ExecError::InvalidInput(format!(
-                "candidate is not parseable YAML ({} bytes)",
-                doc.text().len()
-            )));
-        }
-        self.files
-            .insert(CANDIDATE_FILE.to_owned(), doc.text().to_owned());
-        self.sandbox
-            .cluster
-            .prime_parsed(doc.content_hash(), doc.values_shared());
-        Ok(())
-    }
-
-    fn assert_check(&mut self, check: &str) -> Result<ExecOutcome, ExecError> {
-        let mut shell = Interp::new(&mut self.sandbox);
-        // Move the filesystem in and back out instead of cloning it per
-        // check (this is the hot scoring path); script-written files stay
-        // visible to later checks in the same lifecycle.
-        shell.files = std::mem::take(&mut self.files);
-        let result = shell.run_script(check);
-        self.files = std::mem::take(&mut shell.files);
-        match result {
-            Ok(outcome) => Ok(ExecOutcome {
-                passed: outcome.combined.contains("unit_test_passed"),
-                transcript: outcome.combined,
-                simulated_ms: self.sandbox.cluster.now_ms(),
-            }),
-            Err(e) => Err(ExecError::Probe(e.to_string())),
-        }
-    }
-
-    fn teardown(&mut self) {
-        self.sandbox = ClusterSandbox::new();
-        self.files = self.mounts.clone();
-    }
+/// Records one judgment to `substrate_exec_us`. Handle resolution is
+/// idempotent and cheap next to running a unit-test script.
+fn record_exec(started: Instant) {
+    obs::global()
+        .histogram(
+            "substrate_exec_us",
+            &[("backend", "minishell")],
+            "wall-clock latency of one unit-test judgment",
+        )
+        .record(started.elapsed());
 }
 
 #[cfg(test)]
@@ -135,61 +141,32 @@ mod tests {
 
     #[test]
     fn passing_and_failing_checks() {
-        let mut s = ShellSubstrate::new();
-        s.prepare();
-        s.apply(POD).unwrap();
+        let s = ShellSubstrate::new();
         let pass = s
-            .assert_check("kubectl apply -f labeled_code.yaml\nkubectl wait --for=condition=Ready pod -l app=t --timeout=60s && echo unit_test_passed")
+            .execute(POD, "kubectl apply -f labeled_code.yaml\nkubectl wait --for=condition=Ready pod -l app=t --timeout=60s && echo unit_test_passed")
             .unwrap();
         assert!(pass.passed);
         assert!(pass.simulated_ms > 0);
-        s.teardown();
-        s.prepare();
-        s.apply(POD).unwrap();
         let fail = s
-            .assert_check("kubectl apply -f labeled_code.yaml\nkubectl get pod missing || exit 1\necho unit_test_passed")
+            .execute(POD, "kubectl apply -f labeled_code.yaml\nkubectl get pod missing || exit 1\necho unit_test_passed")
             .unwrap();
         assert!(!fail.passed);
     }
 
     #[test]
-    fn mounted_fixtures_survive_the_lifecycle() {
-        let mut s = ShellSubstrate::new();
-        s.mount("expected.txt", "fixture-data");
-        // execute() re-prepares; the mount must still be visible.
-        let out = s
-            .execute(
-                POD,
-                "grep fixture-data expected.txt && echo unit_test_passed",
-            )
-            .unwrap();
-        assert!(out.passed, "{}", out.transcript);
-        // And again after an explicit teardown.
-        s.teardown();
-        let out = s
-            .execute(
-                POD,
-                "grep fixture-data expected.txt && echo unit_test_passed",
-            )
-            .unwrap();
-        assert!(out.passed, "{}", out.transcript);
-    }
-
-    #[test]
     fn unparseable_candidate_is_invalid_input() {
-        let mut s = ShellSubstrate::new();
-        s.prepare();
-        let err = s.apply("kind: [unclosed").unwrap_err();
+        let err = ShellSubstrate::new()
+            .execute("kind: [unclosed", "echo unit_test_passed")
+            .unwrap_err();
         assert!(matches!(err, ExecError::InvalidInput(_)));
     }
 
     #[test]
     fn probe_error_on_unparseable_script() {
-        let mut s = ShellSubstrate::new();
-        s.prepare();
-        s.apply(POD).unwrap();
         // An unbounded loop exhausts the interpreter's fuel budget.
-        let err = s.assert_check("while true; do x=1; done").unwrap_err();
+        let err = ShellSubstrate::new()
+            .execute(POD, "while true; do x=1; done")
+            .unwrap_err();
         assert!(matches!(err, ExecError::Probe(_)));
     }
 }

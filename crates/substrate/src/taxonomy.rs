@@ -3,17 +3,17 @@
 //! Raw stderr is not actionable feedback — the IaC error-taxonomy line of
 //! work shows that *classified* failures are what a repair loop can learn
 //! from. This module folds every [`ExecError`] and every failing
-//! [`ExecOutcome`] produced by the Shell/Kube/Envoy backends into a
+//! [`ExecOutcome`] produced by [`ShellSubstrate`](crate::ShellSubstrate) into a
 //! **closed** set of buckets ([`Bucket`]), each carrying structured
 //! diagnostics ([`Diagnosis`]): the offending path, field or name pulled
-//! out of the backend's own error phrasing.
+//! out of the simulators' own error phrasing.
 //!
 //! The classifier is **total** and **deterministic**: any string maps to
 //! exactly one bucket (worst case [`Bucket::Unknown`], which keeps the
 //! raw text in [`Diagnosis::raw`]), the same input always maps to the
 //! same bucket, and nothing panics — properties pinned by the property
-//! tests in `tests/proptest_taxonomy.rs` and by the cross-backend
-//! conformance suite's taxonomy step.
+//! tests in `tests/proptest_taxonomy.rs` and by the curated broken
+//! candidates in `tests/conformance.rs`.
 //!
 //! # Examples
 //!
@@ -274,12 +274,10 @@ pub fn classify_message(msg: &str) -> Diagnosis {
 }
 
 /// Classifies a typed [`ExecError`]. `InvalidInput` is by construction a
-/// parse failure on every backend; `Rejected` and `Probe` messages go
-/// through the shared line classifier.
+/// parse failure; `Probe` messages go through the shared line classifier.
 pub fn classify_error(error: &ExecError) -> Diagnosis {
     match error {
         ExecError::InvalidInput(m) => Diagnosis::new(Bucket::YamlSyntax, None, m),
-        ExecError::Rejected(m) => classify_message(m),
         ExecError::Probe(m) => {
             let d = classify_message(m);
             if d.bucket == Bucket::Unknown {
@@ -435,7 +433,12 @@ mod tests {
         let d = classify_outcome(&outcome).unwrap();
         assert_eq!(d.bucket, Bucket::ProbeFailed);
         assert!(d.subject.unwrap().contains("!="));
-        assert!(classify_outcome(&ExecOutcome::pass()).is_none());
+        let pass = ExecOutcome {
+            passed: true,
+            transcript: String::new(),
+            simulated_ms: 0,
+        };
+        assert!(classify_outcome(&pass).is_none());
     }
 
     #[test]

@@ -52,13 +52,12 @@ proptest! {
     fn exec_errors_classify_and_retryable_agrees(msg in arb_error_text()) {
         for e in [
             ExecError::InvalidInput(msg.clone()),
-            ExecError::Rejected(msg.clone()),
             ExecError::Probe(msg.clone()),
         ] {
             let d = classify_error(&e);
             prop_assert_eq!(e.retryable(), d.bucket.retryable());
-            // InvalidInput is a parse failure by construction on every
-            // backend — never retryable.
+            // InvalidInput is a parse failure by construction — never
+            // retryable.
             if matches!(e, ExecError::InvalidInput(_)) {
                 prop_assert_eq!(d.bucket, Bucket::YamlSyntax);
             }

@@ -134,14 +134,15 @@ fn core_reexport_reaches_the_harness_layer() {
 
 #[test]
 fn exec_reexport_drives_the_substrate_trait() {
-    use exec::Substrate;
-    let outcome = exec::EnvoySubstrate::new()
-        .execute(
-            envoy::SAMPLE_CONFIG,
-            "route 10000 example.com / => cluster service_backend",
-        )
+    let script = "\
+envoy --mode validate -c labeled_code.yaml || exit 1
+envoy-start -c labeled_code.yaml
+body=$(curl -s localhost:10000/)
+[[ $body == *service_backend* ]] && echo unit_test_passed";
+    let outcome = exec::ShellSubstrate::new()
+        .execute(envoy::SAMPLE_CONFIG, script)
         .unwrap();
-    assert!(outcome.passed);
+    assert!(outcome.passed, "{}", outcome.transcript);
     assert_ne!(exec::content_hash("a"), exec::content_hash("b"));
 }
 
