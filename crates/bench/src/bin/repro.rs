@@ -174,7 +174,6 @@ fn main() {
         let output = match target.as_str() {
             "parse" => cloudeval_bench::parsebench::parse_report(),
             "score" => cloudeval_bench::parsebench::score_report(),
-            "bench" => cloudeval_bench::parsebench::bench_report(),
             "serve" => cloudeval_bench::serve::serve_report(&ServeOptions {
                 port,
                 workers,
@@ -246,10 +245,9 @@ fn print_usage() {
     eprintln!(
         "usage: repro [--stride N] [--workers N] [--variants LIST] [--channel-bound N] [--live-latency MS] [--rounds N] [--feedback full|bucket-only|none] [--port N] [--requests N] [--clients N] [--conns N] [--memo PATH] <target>..."
     );
-    eprintln!("targets: {} | all | bench", ALL_TARGETS.join(" | "));
+    eprintln!("targets: {} | all", ALL_TARGETS.join(" | "));
     eprintln!("parse: legacy-vs-arena YAML parse A/B with 1.5x verdict");
     eprintln!("score: symbol-interned vs legacy scoring-kernel A/B with identical-scores check and 1.5x verdict");
-    eprintln!("bench: run every criterion engine group, refreshing BENCH_*.json at the repo root (not part of `all`)");
     eprintln!("variants: original,simplified,translated (grid/trace/pipeline targets)");
     eprintln!("trace: per-stage time breakdown of one grid run from the obs layer, plus one repair attempt's span tree");
     eprintln!("channel-bound: scoring -> substrate backpressure depth (pipeline target)");

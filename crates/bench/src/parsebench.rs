@@ -1,22 +1,17 @@
-//! The `repro parse`, `repro score`, and `repro bench` targets.
+//! The `repro parse` and `repro score` targets: kernel-versus-oracle
+//! A/Bs that check their two paths agree and time both.
 //!
 //! `parse` is a self-contained A/B of the legacy boxed-tree parser
-//! against the arena + interner path over the full generated corpus —
-//! no criterion harness, so it runs in seconds and prints a PASS/MISS
-//! verdict against the 1.5x acceptance floor.
+//! against the arena + interner path over the full generated corpus.
+//! It runs in seconds and prints a PASS/MISS verdict against the 1.5x
+//! acceptance floor.
 //!
 //! `score` is the same shape for the scoring engine: the
 //! symbol-interned kernels (rolling-hash BLEU + bit-parallel edit
 //! distance) against the kept legacy string-slice kernels on the pass@k
 //! workload, with a bit-for-bit identical-scores check and a PASS/MISS
 //! verdict on the same 1.5x floor.
-//!
-//! `bench` drives every criterion engine group and writes each one's
-//! machine-readable report to `BENCH_<name>.json` at the repository
-//! root, which is exactly what CI archives — running it locally keeps
-//! the checked-in perf trajectory current.
 
-use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 /// Every YAML text the pipeline parses per session: the labeled
@@ -97,17 +92,15 @@ pub fn parse_report() -> String {
     )
 }
 
-/// Kernel-vs-legacy static scoring over the pass@k workload (the same
-/// reference × k-candidate shape the `score_engine` criterion group
-/// uses), with the bit-for-bit identity check and the 1.5x acceptance
-/// verdict. Returned as a printable report; CI greps it for
+/// Kernel-vs-legacy static scoring over the pass@k workload (every 6th
+/// reference × k near-miss candidates), with the bit-for-bit identity
+/// check and the 1.5x acceptance verdict. Returned as a printable report; CI greps it for
 /// `identical` and `PASS`.
 pub fn score_report() -> String {
     const REPS: usize = 7;
     const K: usize = 8;
     let ds = cedataset::Dataset::generate();
-    // Every 6th problem, each with k near-miss candidate variants —
-    // identical to the score_engine bench workload.
+    // Every 6th problem, each with k near-miss candidate variants.
     let workload: Vec<(cescore::PreparedRef, Vec<cescore::PreparedDoc>)> = ds
         .problems()
         .iter()
@@ -187,74 +180,4 @@ pub fn score_report() -> String {
         kernel.as_secs_f64() * 1e3,
         kernel.as_secs_f64() * 1e6 / pairs as f64,
     )
-}
-
-/// `(bench file, criterion group filter, repo-root artifact)` for every
-/// engine group CI tracks. `repro bench` and the CI steps stay in sync
-/// through this table.
-pub const ENGINE_BENCHES: &[(&str, &str, &str)] = &[
-    ("parse", "parse_engine", "BENCH_parse.json"),
-    ("pipeline", "pipeline_engine", "BENCH_pipeline.json"),
-    ("scoring", "score_engine", "BENCH_score.json"),
-    ("repair", "repair_engine", "BENCH_repair.json"),
-    ("serve", "serve_engine", "BENCH_serve.json"),
-    ("obs", "obs_engine", "BENCH_obs.json"),
-];
-
-/// The repository root, resolved from this crate's manifest directory
-/// (`crates/bench` → two levels up).
-fn repo_root() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("bench crate sits two levels below the repo root")
-        .to_path_buf()
-}
-
-/// Runs every criterion engine group via `cargo bench`, pointing
-/// `CRITERION_JSON` at `BENCH_<name>.json` in the repository root so
-/// the perf-trajectory artifacts CI archives are refreshed in place.
-pub fn bench_report() -> String {
-    let root = repo_root();
-    let mut out = String::new();
-    for (bench, group, artifact) in ENGINE_BENCHES {
-        let json = root.join(artifact);
-        let status = std::process::Command::new("cargo")
-            .args([
-                "bench",
-                "-p",
-                "cloudeval-bench",
-                "--bench",
-                bench,
-                "--",
-                group,
-            ])
-            .env("CRITERION_JSON", &json)
-            .status();
-        let line = match status {
-            Ok(s) if s.success() => format!("{group:<16} -> {}\n", json.display()),
-            Ok(s) => format!("{group:<16} FAILED ({s})\n"),
-            Err(e) => format!("{group:<16} could not launch cargo: {e}\n"),
-        };
-        out.push_str(&line);
-    }
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn engine_bench_table_names_are_consistent() {
-        for (bench, group, artifact) in ENGINE_BENCHES {
-            assert!(artifact.starts_with("BENCH_") && artifact.ends_with(".json"));
-            assert!(!bench.is_empty() && group.ends_with("_engine"));
-        }
-    }
-
-    #[test]
-    fn repo_root_contains_workspace_manifest() {
-        assert!(repo_root().join("Cargo.toml").exists());
-    }
 }

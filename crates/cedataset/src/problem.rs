@@ -1,10 +1,8 @@
 //! The problem schema (§2.1): prompt template + NL description + optional
 //! YAML context + labeled reference YAML + bash unit test.
 
-use serde::{Deserialize, Serialize};
-
 /// Application category, matching Table 2's columns.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Category {
     /// Kubernetes `Pod` problems.
     Pod,
@@ -64,7 +62,7 @@ impl Category {
 }
 
 /// Application grouping used in the per-application analysis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Application {
     /// Kubernetes (includes the `others` kinds).
     Kubernetes,
@@ -75,7 +73,7 @@ pub enum Application {
 }
 
 /// Dataset variant after practical augmentation (§2.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Variant {
     /// The hand-written original question.
     Original,
@@ -100,7 +98,7 @@ impl Variant {
 }
 
 /// One benchmark problem.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Problem {
     /// Stable identifier, e.g. `pod-007`.
     pub id: String,

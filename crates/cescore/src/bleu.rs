@@ -37,8 +37,7 @@ pub fn tokenize(text: &str) -> Vec<String> {
 /// ```
 pub fn tokenize_ref(text: &str) -> Vec<&str> {
     // Single-pass slice tokenizer, kept verbatim as the seed cost
-    // profile (this is the cold-parse baseline the score_engine bench
-    // measures the prepared path against). `yamlkit::doc::token_spans`
+    // profile of the cold-parse text path. `yamlkit::doc::token_spans`
     // implements the same segmentation as byte spans for PreparedDoc's
     // cache; the `prepared_doc_views_match_direct_tokenization` proptest
     // pins the two together.
@@ -96,20 +95,6 @@ pub fn bleu(reference: &str, candidate: &str, smoothing: Smoothing) -> f64 {
     let ref_tokens = tokenize_ref(reference);
     let cand_tokens = tokenize_ref(candidate);
     bleu_tokens_ref(&ref_tokens, &cand_tokens, smoothing)
-}
-
-/// BLEU over pre-tokenized owned sequences. Kept for compatibility with
-/// callers that hold `Vec<String>` tokens; forwards to
-/// [`bleu_tokens_ref`] through a single borrowed-token buffer shared by
-/// both sides.
-pub fn bleu_tokens(reference: &[String], candidate: &[String], smoothing: Smoothing) -> f64 {
-    let borrowed: Vec<&str> = reference
-        .iter()
-        .chain(candidate)
-        .map(String::as_str)
-        .collect();
-    let (reference, candidate) = borrowed.split_at(reference.len());
-    bleu_tokens_ref(reference, candidate, smoothing)
 }
 
 /// BLEU over borrowed token sequences (the allocation-free hot path).
@@ -233,12 +218,6 @@ mod tests {
             let owned = tokenize(text);
             let borrowed = tokenize_ref(text);
             assert_eq!(owned, borrowed, "tokenizers disagree on {text:?}");
-            assert!(
-                (bleu_tokens(&owned, &owned, Smoothing::Epsilon)
-                    - bleu_tokens_ref(&borrowed, &borrowed, Smoothing::Epsilon))
-                .abs()
-                    < 1e-12
-            );
         }
     }
 

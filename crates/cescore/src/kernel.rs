@@ -199,8 +199,8 @@ impl RefLineIndex {
 /// records so repeated scoring allocates nothing in steady state.
 ///
 /// [`crate::score_pair_prepared`] keeps one per thread automatically;
-/// workers that want explicit control (the harness's scoring pools, the
-/// benches) own one and call [`crate::score_pair_prepared_with`].
+/// workers that want explicit control (the harness's scoring pools,
+/// `repro score`) own one and call [`crate::score_pair_prepared_with`].
 #[derive(Debug, Default)]
 pub struct ScoreScratch {
     /// Candidate symbol id → reference symbol id (or [`UNSEEN`]),

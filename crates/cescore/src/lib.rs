@@ -34,7 +34,7 @@ mod kernel;
 mod prepared;
 mod yamlaware;
 
-pub use bleu::{bleu, bleu_tokens, bleu_tokens_ref, tokenize, tokenize_ref, Smoothing};
+pub use bleu::{bleu, bleu_tokens_ref, tokenize, tokenize_ref, Smoothing};
 pub use editdist::{
     edit_distance_score, edit_distance_score_lines, line_edit_distance, line_edit_distance_lines,
 };
@@ -48,8 +48,6 @@ pub use prepared::{
 };
 pub use yamlaware::{kv_exact_match, kv_wildcard_match};
 pub use yamlkit::PreparedDoc;
-
-use serde::{Deserialize, Serialize};
 
 /// Exact match (§3.2): 1 only when the generated text equals the reference
 /// after trailing-whitespace normalization, else 0.
@@ -87,7 +85,7 @@ pub fn normalized_eq(a: &str, b: &str) -> bool {
 ///
 /// `unit_test` is `0.0` until the function-level evaluation runs; the five
 /// static metrics are filled by [`score_pair`].
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Scores {
     /// BLEU similarity, `[0, 1]`.
     pub bleu: f64,
@@ -130,8 +128,9 @@ pub const METRIC_NAMES: [&str; 6] = [
 /// Computes the five static metrics for a generated answer against the
 /// labeled reference. Label comments are stripped from the reference before
 /// text-level comparison (they are instructions to the grader, not part of
-/// the solution), and both sides are canonicalized when they parse so that
-/// formatting noise does not dominate text-level scores.
+/// the solution): a reference that parses is re-emitted by [`yamlkit::emit_all`],
+/// which drops its comments and normalizes its formatting. The candidate is
+/// compared as written, so its formatting counts in the text-level scores.
 ///
 /// Thin wrapper over [`score_pair_prepared`]: both sides are prepared
 /// (parsed once) and scored from cached views. Callers scoring the same
@@ -151,8 +150,7 @@ pub fn score_pair(labeled_reference: &str, candidate: &str) -> Scores {
 ///
 /// Kept verbatim as the baseline [`score_pair`] must stay score-identical
 /// to (the `proptest_metrics` suite proves it on arbitrary YAML), as the
-/// scorer of the barriered reference driver `evaluate_barriered`, and as
-/// the cold-parse side of the `score_engine` benchmark group.
+/// scorer of the barriered reference driver `evaluate_barriered`.
 pub fn score_pair_text(labeled_reference: &str, candidate: &str) -> Scores {
     let reference_clean = strip_label_comments(labeled_reference);
     // Text-level metrics compare the cleaned reference against raw output.
@@ -184,7 +182,7 @@ pub fn strip_label_comments(labeled: &str) -> String {
 
 /// Mean of each metric over a collection of [`Scores`] — one row of
 /// Table 4.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ScoreTable {
     /// Mean scores across the dataset.
     pub mean: Scores,

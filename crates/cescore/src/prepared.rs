@@ -332,7 +332,7 @@ fn kernel_hists() -> &'static (obs::Histogram, obs::Histogram) {
 /// [`PreparedRef::new`].
 ///
 /// Kernel scratch is kept per thread; workers that want explicit
-/// ownership (the harness's scoring pools, benches) should hold a
+/// ownership (the harness's scoring pools, `repro score`) should hold a
 /// [`ScoreScratch`] and call [`score_pair_prepared_with`] directly.
 pub fn score_pair_prepared(reference: &PreparedRef, candidate: &PreparedDoc) -> Scores {
     thread_local! {

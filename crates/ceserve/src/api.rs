@@ -318,7 +318,8 @@ impl Service {
     }
 
     /// Drops both caches (verdict memo and response cache) — the
-    /// cold-cache reset the `serve_engine` benchmark measures against.
+    /// cold-cache reset before each closed-loop round of cebench's
+    /// `serve-cold` workload.
     pub fn clear_caches(&self) {
         self.memo.clear();
         self.responses

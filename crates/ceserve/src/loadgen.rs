@@ -188,7 +188,7 @@ pub fn evaluate_body(item: &LoadItem) -> String {
 /// keep-alive close. A response-read timeout or a truncated response
 /// means the server may be (or have finished) executing it; re-sending
 /// those would run the request twice server-side and skew the
-/// `executed`/`cache_hits` numbers the benches compare.
+/// `executed`/`cache_hits` counters `/v1/stats` reports.
 struct AttemptError {
     retriable: bool,
 }

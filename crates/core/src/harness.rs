@@ -494,8 +494,8 @@ pub fn evaluate(
 /// Kept as the reference semantics [`evaluate`] must reproduce exactly
 /// (the `pipeline_determinism` suite proves record equality, which also
 /// certifies the parse-once document model against the text path), and
-/// as the baseline the `pipeline_engine` bench group and `repro
-/// pipeline` measure the streaming driver against.
+/// as the baseline `repro pipeline` measures the streaming driver
+/// against.
 pub fn evaluate_barriered(
     model: &SimulatedModel,
     dataset: &Dataset,
@@ -822,8 +822,8 @@ pub fn evaluate_repair(
 /// coordinate generates, extracts and scores serially, all jobs of the
 /// round execute together ([`run_jobs_cached`]), and only then does the
 /// next round start from the collected failures. Kept as the reference
-/// semantics the streamed loop-back driver must reproduce byte for byte,
-/// and as the baseline the `repair_engine` bench group measures against.
+/// semantics the streamed loop-back driver must reproduce byte for byte
+/// (`repro repair` and cebench's `repair` workload check it).
 pub fn evaluate_repair_barriered(
     model: &SimulatedModel,
     dataset: &Dataset,

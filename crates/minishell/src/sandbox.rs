@@ -31,7 +31,7 @@ impl ClusterSandbox {
         }
     }
 
-    fn run_curl(&mut self, args: &[String]) -> ExecResult {
+    fn run_curl(&mut self, args: &[String], files: &mut HashMap<String, String>) -> ExecResult {
         let mut silent = false;
         let mut out_file: Option<String> = None;
         let mut write_format: Option<String> = None;
@@ -70,10 +70,10 @@ impl ClusterSandbox {
         };
         // A loaded Envoy config owns localhost listener ports.
         if let Some(status_body) = self.try_envoy(&url) {
-            return render_curl(status_body, silent, out_file, write_format);
+            return render_curl(status_body, silent, out_file, write_format, files);
         }
         let result = curl(&self.cluster, &url).map(|resp| (resp.status, resp.body));
-        render_curl(result, silent, out_file, write_format)
+        render_curl(result, silent, out_file, write_format, files)
     }
 
     /// Routes a URL through the loaded Envoy config when the host/port is
@@ -246,13 +246,15 @@ fn render_curl(
     silent: bool,
     out_file: Option<String>,
     write_format: Option<String>,
+    files: &mut HashMap<String, String>,
 ) -> ExecResult {
     match result {
         Ok((status, body)) => {
             let mut stdout = String::new();
-            match out_file.as_deref() {
-                Some("/dev/null") => {}
-                Some(_f) => { /* body captured to VFS by caller via redirect; -o to files is rare */
+            match out_file {
+                Some(f) if f == "/dev/null" => {}
+                Some(f) => {
+                    files.insert(f, body);
                 }
                 None => stdout.push_str(&body),
             }
@@ -299,8 +301,7 @@ impl Sandbox for ClusterSandbox {
     ) -> Option<ExecResult> {
         match name {
             "kubectl" => {
-                let snapshot = files.clone();
-                let resolver = move |f: &str| snapshot.get(f).cloned();
+                let resolver = |f: &str| files.get(f).cloned();
                 let r = kubesim::kubectl::run(&mut self.cluster, args, stdin, &resolver);
                 Some(ExecResult {
                     stdout: r.stdout,
@@ -309,7 +310,7 @@ impl Sandbox for ClusterSandbox {
                     blocking: false,
                 })
             }
-            "curl" => Some(self.run_curl(args)),
+            "curl" => Some(self.run_curl(args, files)),
             "minikube" => Some(self.run_minikube(args)),
             "envoy" => Some(self.run_envoy(args, files)),
             "envoy-start" => {

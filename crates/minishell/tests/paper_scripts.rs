@@ -353,3 +353,49 @@ fn kubectl_failure_breaks_chain() {
     assert!(outcome.stdout.contains("done"));
     assert!(outcome.combined.contains("NotFound"));
 }
+
+/// `curl -o FILE` stores the body in the virtual filesystem under that
+/// name and prints nothing; `-o /dev/null` discards it.
+#[test]
+fn curl_output_file_lands_in_vfs() {
+    let pod = "\
+apiVersion: v1
+kind: Pod
+metadata:
+  name: web
+spec:
+  containers:
+  - name: web
+    image: nginx:latest
+    ports:
+    - containerPort: 80
+      hostPort: 5000
+";
+    let wait = "kubectl apply -f pod.yaml\n\
+                kubectl wait --for=condition=Ready pod/web --timeout=60s > /dev/null\n";
+    let direct = run_with_files(
+        &format!("{wait}curl -s 192.168.49.2:5000"),
+        &[("pod.yaml", pod)],
+    );
+    assert_eq!(direct.exit_code, 0, "transcript:\n{}", direct.combined);
+    let body = direct.stdout.strip_prefix("pod/web created\n").unwrap();
+    assert!(!body.is_empty());
+
+    let saved = run_with_files(
+        &format!("{wait}curl -s -o page.html 192.168.49.2:5000\necho ---\ncat page.html"),
+        &[("pod.yaml", pod)],
+    );
+    assert_eq!(saved.exit_code, 0, "transcript:\n{}", saved.combined);
+    assert_eq!(saved.stdout, format!("pod/web created\n---\n{body}"));
+
+    let discarded = run_with_files(
+        &format!("{wait}curl -s -o /dev/null -w \"%{{http_code}}\" 192.168.49.2:5000"),
+        &[("pod.yaml", pod)],
+    );
+    assert_eq!(
+        discarded.exit_code, 0,
+        "transcript:\n{}",
+        discarded.combined
+    );
+    assert_eq!(discarded.stdout, "pod/web created\n200");
+}

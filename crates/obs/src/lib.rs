@@ -13,9 +13,8 @@
 //! enabled flag plus a handful of relaxed atomic RMWs (one for a
 //! counter, five for a histogram) — no locks, no allocation. Starting a
 //! span against a disabled collector (the default) is a single relaxed
-//! load; nothing allocates until a collector is enabled. The
-//! `obs_engine` bench group prices the full instrumented pipeline
-//! against the kill switch ([`Registry::set_enabled`]).
+//! load; nothing allocates until a collector is enabled. The kill
+//! switch ([`Registry::set_enabled`]) turns recording off entirely.
 //!
 //! # Examples
 //!

@@ -9,9 +9,7 @@
 //! registry's enabled flag, then a handful of relaxed atomic RMWs.
 //!
 //! Disabling a registry ([`Registry::set_enabled`]) turns every record
-//! through its handles into a single load-and-branch — the kill switch
-//! the `obs_engine` before/after bench flips to price the
-//! instrumentation.
+//! through its handles into a single load-and-branch.
 
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};

@@ -44,30 +44,3 @@ pub use doc::PreparedDoc;
 pub use emitter::{emit, emit_all};
 pub use parser::{parse, parse_legacy, parse_one, Node, NodeKind, ParseYamlError};
 pub use value::Yaml;
-
-/// Canonicalizes YAML text: parse then emit. Returns `None` when the text
-/// is not valid YAML. Useful for text-level metrics that should not be
-/// sensitive to cosmetic formatting.
-pub fn canonicalize(source: &str) -> Option<String> {
-    let docs = parse(source).ok()?;
-    if docs.is_empty() {
-        return None;
-    }
-    let values: Vec<Yaml> = docs.iter().map(Node::to_value).collect();
-    Some(emit_all(&values))
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn canonicalize_normalizes_formatting() {
-        let a = super::canonicalize("a:   1\nb:\n    c:   x\n").unwrap();
-        let b = super::canonicalize("a: 1\nb:\n  c: x\n").unwrap();
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn canonicalize_rejects_invalid() {
-        assert!(super::canonicalize("a: [1,\n").is_none());
-    }
-}

@@ -162,9 +162,9 @@ pub fn parse(source: &str) -> Result<Vec<Node>, ParseYamlError> {
     Ok(parts.roots.iter().map(|&r| parts.node_to_node(r)).collect())
 }
 
-/// The pre-arena recursive-descent parser, retained verbatim as the
-/// correctness oracle for the equivalence suite and as the baseline leg
-/// of the `parse_engine` criterion group. Semantics are identical to
+/// The pre-arena recursive-descent parser, retained as the correctness
+/// oracle for the equivalence suite and as the baseline leg of the
+/// `repro parse` A/B. Semantics are identical to
 /// [`parse`]; allocation behavior is not (per-line `String`s, per-token
 /// `String`s, boxed `Node` trees).
 ///
@@ -254,7 +254,7 @@ fn split_lines(source: &str) -> Result<Vec<Line>, ParseYamlError> {
     for (i, raw) in source.lines().enumerate() {
         let number = i + 1;
         let indent = raw.chars().take_while(|c| *c == ' ').count();
-        if raw[..raw.len().min(indent + 1)].contains('\t') && raw.trim() != "" {
+        if raw[indent..].starts_with('\t') && raw.trim() != "" {
             // A tab before content is illegal YAML indentation.
             let before = &raw[..raw
                 .find(|c: char| c != ' ' && c != '\t')

@@ -276,6 +276,10 @@ fn representative_manifests_are_equivalent() {
         "",
         "\n\n\n",
         "# only a comment\n",
+        // A multi-byte character right after the indentation: the tab
+        // check must not slice inside it.
+        "é: 1\n",
+        "a:\n  ñ: 2\n",
     ] {
         assert_equivalent(src);
     }

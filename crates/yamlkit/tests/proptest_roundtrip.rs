@@ -113,15 +113,6 @@ proptest! {
         prop_assert_eq!(back, v);
     }
 
-    /// Canonicalization is idempotent.
-    #[test]
-    fn canonicalize_idempotent(v in arb_yaml()) {
-        let text = yamlkit::emit(&v);
-        let once = yamlkit::canonicalize(&text).unwrap();
-        let twice = yamlkit::canonicalize(&once).unwrap();
-        prop_assert_eq!(once, twice);
-    }
-
     /// A document always matches its own (unlabeled) match tree with IoU 1.
     #[test]
     fn iou_reflexive(v in arb_yaml()) {
