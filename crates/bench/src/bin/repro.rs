@@ -19,8 +19,6 @@
 //! * `--variants LIST` — comma-separated subset of
 //!   `original,simplified,translated` used by the `grid` and `pipeline`
 //!   targets (default: all three);
-//! * `--channel-bound N` — scoring → substrate job-channel depth of the
-//!   streaming driver (default 128), used by the `pipeline` target;
 //! * `--live-latency MS` — per-request wall-clock latency of the
 //!   `pipeline` target's remote-generation section (default 15 ms);
 //! * `--rounds N` — repair rounds after the first attempt (default 2),
@@ -28,6 +26,9 @@
 //! * `--feedback full|bucket-only|none` — how much of each failure's
 //!   taxonomy diagnosis the repair prompts reveal (default
 //!   `bucket-only`), used by the `repair` target.
+//!
+//! An unknown target is an error (exit status 2), reported before any
+//! target runs.
 
 use cedataset::Variant;
 use cloudeval_bench::experiments::Experiments;
@@ -39,7 +40,6 @@ fn main() {
     let mut stride = 1usize;
     let mut workers = cloudeval_core::harness::default_workers();
     let mut variants: Vec<Variant> = Variant::ALL.to_vec();
-    let mut channel_bound = cloudeval_core::harness::DEFAULT_CHANNEL_BOUND;
     let mut live_latency_ms = 15u64;
     let mut port = 0u16;
     let mut requests = 200usize;
@@ -71,14 +71,6 @@ fn main() {
                 i += 1;
                 variants = parse_variants(args.get(i).map(String::as_str).unwrap_or(""))
                     .unwrap_or_else(|bad| die(&format!("unknown variant {bad:?}")));
-            }
-            "--channel-bound" => {
-                i += 1;
-                channel_bound = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|b| *b > 0)
-                    .unwrap_or_else(|| die("--channel-bound needs a positive integer"));
             }
             "--live-latency" => {
                 i += 1;
@@ -151,6 +143,12 @@ fn main() {
         print_usage();
         return;
     }
+    if let Some(bad) = targets
+        .iter()
+        .find(|t| *t != "all" && !ALL_TARGETS.contains(&t.as_str()))
+    {
+        die(&format!("unknown target {bad:?} (see --help)"));
+    }
     if targets.iter().any(|t| t == "all") {
         targets = ALL_TARGETS.iter().map(|s| (*s).to_owned()).collect();
     }
@@ -200,15 +198,10 @@ fn main() {
             "grid" => context(&mut experiments, stride, workers).grid(&variants),
             "trace" => context(&mut experiments, stride, workers).trace(&variants),
             "repair" => context(&mut experiments, stride, workers).repair(rounds, feedback),
-            "pipeline" => context(&mut experiments, stride, workers).pipeline(
-                &variants,
-                channel_bound,
-                live_latency_ms,
-            ),
-            other => {
-                eprintln!("unknown target {other:?} (see --help)");
-                continue;
+            "pipeline" => {
+                context(&mut experiments, stride, workers).pipeline(&variants, live_latency_ms)
             }
+            other => unreachable!("target {other:?} was validated above"),
         };
         println!(
             "==================== {} ====================",
@@ -243,14 +236,13 @@ fn parse_variants(list: &str) -> Result<Vec<Variant>, String> {
 
 fn print_usage() {
     eprintln!(
-        "usage: repro [--stride N] [--workers N] [--variants LIST] [--channel-bound N] [--live-latency MS] [--rounds N] [--feedback full|bucket-only|none] [--port N] [--requests N] [--clients N] [--conns N] [--memo PATH] <target>..."
+        "usage: repro [--stride N] [--workers N] [--variants LIST] [--live-latency MS] [--rounds N] [--feedback full|bucket-only|none] [--port N] [--requests N] [--clients N] [--conns N] [--memo PATH] <target>..."
     );
     eprintln!("targets: {} | all", ALL_TARGETS.join(" | "));
     eprintln!("parse: legacy-vs-arena YAML parse A/B with 1.5x verdict");
     eprintln!("score: symbol-interned vs legacy scoring-kernel A/B with identical-scores check and 1.5x verdict");
     eprintln!("variants: original,simplified,translated (grid/trace/pipeline targets)");
     eprintln!("trace: per-stage time breakdown of one grid run from the obs layer, plus one repair attempt's span tree");
-    eprintln!("channel-bound: scoring -> substrate backpressure depth (pipeline target)");
     eprintln!("rounds/feedback: fail-learn-refine loop knobs (repair target)");
     eprintln!("port/requests/clients/memo: benchmark-as-a-service knobs (serve target)");
     eprintln!("conns: keep-alive connections per client thread (serve target)");

@@ -140,15 +140,10 @@ impl Experiments {
     ///
     /// Both drivers run with **fresh run-local memos** (not the session
     /// cache) so the comparison measures scheduling, not cache warmth.
-    pub fn pipeline(
-        &self,
-        variants: &[Variant],
-        channel_bound: usize,
-        live_latency_ms: u64,
-    ) -> String {
+    pub fn pipeline(&self, variants: &[Variant], live_latency_ms: u64) -> String {
         let mut out = String::from("Pipeline drivers: barriered vs streamed\n");
         out.push_str(&format!(
-            "variants: {} | stride: {} | workers: {} | channel bound: {}\n",
+            "variants: {} | stride: {} | workers: {}\n",
             variants
                 .iter()
                 .map(|v| v.label())
@@ -156,28 +151,21 @@ impl Experiments {
                 .join(","),
             self.stride,
             self.workers,
-            channel_bound,
         ));
         out.push_str("-- instant generation (CPU-bound) --\n");
-        out.push_str(&self.pipeline_section(variants, channel_bound, None));
+        out.push_str(&self.pipeline_section(variants, None));
         out.push_str(&format!(
             "-- remote generation ({live_latency_ms} ms live request latency) --\n"
         ));
-        out.push_str(&self.pipeline_section(variants, channel_bound, Some(live_latency_ms)));
+        out.push_str(&self.pipeline_section(variants, Some(live_latency_ms)));
         out
     }
 
-    fn pipeline_section(
-        &self,
-        variants: &[Variant],
-        channel_bound: usize,
-        live_latency_ms: Option<u64>,
-    ) -> String {
+    fn pipeline_section(&self, variants: &[Variant], live_latency_ms: Option<u64>) -> String {
         let options = EvalOptions {
             variants: variants.to_vec(),
             workers: self.workers,
             stride: self.stride,
-            channel_bound,
             live_latency_ms,
             memo: None, // run-local memos: measure scheduling, not cache
             refs: None,
@@ -673,7 +661,7 @@ mod tests {
     #[test]
     fn pipeline_compare_reports_identical_outputs() {
         let e = Experiments::with_workers(48, 4);
-        let out = e.pipeline(&[Variant::Original], 64, 2);
+        let out = e.pipeline(&[Variant::Original], 2);
         assert!(out.contains("speedup"), "{out}");
         assert!(out.contains("remote generation"), "{out}");
         assert!(out.contains("identical"), "{out}");

@@ -1,55 +1,51 @@
 //! The end-to-end benchmark pipeline (Figure 3): dataset → prompt →
 //! query → post-process → score → cloud evaluation.
 //!
-//! Every streaming driver is a configuration of one private judge engine.
-//! A feeder pushes tasks; one CPU pool extracts, parses and statically
-//! scores each task's candidate; [`evalcluster::run_jobs_stream`] judges
-//! its unit test; and a verdict callback either settles the task's slot or
-//! loops a follow-up task back to the CPU pool. Records stream through
-//! independently, so wall-clock tracks the slowest record chain, not the
-//! slowest phase. The configurations:
+//! Every streaming driver runs on one private judge engine: a pool of
+//! `workers` scoped threads, each owning one [`ScoreScratch`], that take
+//! the next coordinate from an atomic cursor and run it to completion —
+//! generation, §3.1 extraction, the one parse into a [`PreparedDoc`],
+//! static scoring against the [`RefCache`]d reference, the unit test
+//! through the memo's single flight ([`ScoreMemo::single_flight`]),
+//! answer classification and record assembly. No channel links two
+//! stages, so no record waits in a queue behind another. The drivers:
 //!
-//! * [`evaluate`] — generation ([`llmsim::query_stream`]) feeds the
-//!   engine, and every verdict settles its record.
-//! * [`evaluate_repair`] — the prompt list feeds the engine, generation
-//!   runs inside each task, and a failing verdict below the round cap
-//!   loops a repair prompt back: the fail–learn–refine edge.
-//! * [`score_submissions_stream`] — submission indices feed the engine,
-//!   and each verdict is emitted the moment it lands.
+//! * [`evaluate`] — one (problem, variant) coordinate per item; every
+//!   record settles on the thread that generated it.
+//! * [`evaluate_repair`] — the same, except a failing attempt below the
+//!   round cap loops the coordinate straight into its next round on the
+//!   same thread: the fail–learn–refine edge.
+//! * [`score_submissions_stream`] — one submission per item, each
+//!   verdict emitted the moment it lands.
 //!
 //! [`evaluate_barriered`] and [`evaluate_repair_barriered`] keep the
 //! seed's phase barriers as the reference semantics: the streamed drivers
 //! must reproduce their output exactly. [`evaluate_barriered`] also keeps
-//! the text path (every layer re-parses the candidate), so that identity
+//! the text path (every layer re-parses the candidate, and
+//! [`llmsim::classify_answer`] parses it again), so that identity
 //! certifies the parse-once document model too.
 //!
 //! All drivers dedupe unit-test executions by content hash (identical
 //! extracted YAML for the same unit test scores once) and honor
 //! [`EvalOptions::memo`] so verdicts carry across runs.
 
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, sync_channel};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use cedataset::{Category, Dataset, Problem, Variant};
 use cescore::{
     score_pair_prepared, score_pair_prepared_with, PreparedDoc, RefCache, ScoreScratch, Scores,
 };
-use evalcluster::executor::{run_jobs_cached, run_jobs_stream, JobResult, UnitTestJob};
-use evalcluster::memo::ScoreMemo;
+use evalcluster::executor::{run_jobs_cached, UnitTestJob};
+use evalcluster::memo::{Answered, CachedVerdict, ScoreMemo};
 use evalcluster::StreamStats;
 use llmsim::{
     extract_yaml, AnswerCategory, FeedbackMode, GenParams, LanguageModel, QueryConfig,
     SimulatedModel,
 };
 use obs::{Span, TraceId};
-
-/// Default bound of the job channel between the judge engine's CPU pool
-/// and its substrate pool: deep enough to absorb jitter between the two,
-/// shallow enough that a stalled substrate pool backpressures scoring
-/// within a few hundred records instead of buffering a whole grid.
-pub const DEFAULT_CHANNEL_BOUND: usize = 128;
 
 /// Default unit-test worker count: one per available hardware thread,
 /// clamped to `[2, 32]`.
@@ -98,7 +94,8 @@ pub struct EvalOptions {
     pub shots: usize,
     /// Generation parameters.
     pub params: GenParams,
-    /// Unit-test worker threads. Defaults to [`default_workers`]
+    /// Worker threads of the judge engine (and of the barriered drivers'
+    /// generation and unit-test pools). Defaults to [`default_workers`]
     /// (available parallelism, clamped); set explicitly to pin a run to a
     /// fixed width.
     pub workers: usize,
@@ -110,12 +107,8 @@ pub struct EvalOptions {
     /// the run; supply one `Arc<ScoreMemo>` across runs to carry verdicts
     /// over a whole grid or pass@k sweep.
     pub memo: Option<Arc<ScoreMemo>>,
-    /// Bound of the job channel between scoring and substrate execution
-    /// in the streaming drivers (backpressure depth; ignored by the
-    /// barriered drivers).
-    pub channel_bound: usize,
     /// When `Some(ms)`, generation runs in the latency-realistic remote
-    /// regime: each request really occupies its query worker for `ms` of
+    /// regime: each request really occupies its worker for `ms` of
     /// wall-clock ([`QueryConfig::live_latency`]), as a remote API would.
     /// Only [`evaluate`] and [`evaluate_barriered`] honor it, identically
     /// (so their comparison stays fair); the repair drivers call the
@@ -138,7 +131,6 @@ impl Default for EvalOptions {
             workers: default_workers(),
             stride: 1,
             memo: None,
-            channel_bound: DEFAULT_CHANNEL_BOUND,
             live_latency_ms: None,
             refs: None,
         }
@@ -165,7 +157,8 @@ impl EvalOptions {
         self.refs.as_deref().unwrap_or(fallback)
     }
 
-    /// The query configuration both grid drivers dispatch generation with.
+    /// The query configuration the barriered grid driver dispatches
+    /// generation with.
     fn query_config(&self) -> QueryConfig {
         QueryConfig {
             parallelism: self.workers.max(1),
@@ -201,23 +194,27 @@ fn plan<'d>(
     (coords, prompts)
 }
 
+/// `scores` with the unit-test verdict filled in.
+fn judged(mut scores: Scores, passed: bool) -> Scores {
+    scores.unit_test = f64::from(u8::from(passed));
+    scores
+}
+
 /// Assembles the final record for one coordinate — shared verbatim by
 /// both grid drivers so their outputs stay bit-identical. `clean_reference`
 /// is the label-stripped reference: the barriered driver computes it per
 /// record (the seed behavior), the streamed driver reads it off the
 /// session's [`cescore::PreparedRef`] — the strings are identical by
-/// construction.
+/// construction, and so are the two classifiers' answers.
 fn assemble_record(
     model_name: &str,
     problem: &Problem,
     variant: Variant,
     clean_reference: &str,
     yaml: String,
-    mut scores: Scores,
-    passed: bool,
+    scores: Scores,
+    answer_class: AnswerCategory,
 ) -> EvalRecord {
-    scores.unit_test = f64::from(u8::from(passed));
-    let answer_class = llmsim::classify_answer(&yaml, clean_reference, passed);
     EvalRecord {
         model: model_name.to_owned(),
         problem_id: problem.id.clone(),
@@ -230,15 +227,6 @@ fn assemble_record(
         scores,
         answer_class,
     }
-}
-
-/// What a verdict does to its slot in the judge engine.
-enum Settle<T, O> {
-    /// The slot is finished, with this output.
-    Done(O),
-    /// The slot goes round again with this follow-up task — the repair
-    /// loop-back edge.
-    Again(T),
 }
 
 /// The `stage_queue_wait_us` / `stage_service_us` series of one engine
@@ -275,161 +263,91 @@ impl StageSeries {
     }
 }
 
-/// Runs its closure when dropped during a panic: a panicking engine
-/// callback disconnects the task channel, so the other pools drain and the
-/// scope re-raises the panic instead of every pool blocking forever.
-struct CloseOnPanic<'a>(&'a (dyn Fn() + Sync));
+/// The two timed stages of every attempt: `extract` (§3.1 extraction and
+/// the one parse; for repair, generation too) and `score` (static
+/// scoring). Each attempt records one observation in each series; the
+/// `extract` queue wait is the wait for the next coordinate, and `score`
+/// never waits (it follows extraction on the same thread).
+struct Stages {
+    extract: StageSeries,
+    score: StageSeries,
+}
 
-impl Drop for CloseOnPanic<'_> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            (self.0)();
+impl Stages {
+    fn new() -> Stages {
+        Stages {
+            extract: StageSeries::new("extract"),
+            score: StageSeries::new("score"),
         }
     }
 }
 
-/// The streaming judge engine behind [`evaluate`], [`evaluate_repair`] and
-/// [`score_submissions_stream`].
+/// The judge engine behind [`evaluate`], [`evaluate_repair`] and
+/// [`score_submissions_stream`]: `workers` scoped threads (never more than
+/// there are items), each owning one [`ScoreScratch`], take the next index
+/// from an atomic cursor and run `item` on it to completion. `item` also
+/// gets the time its thread waited for the index. Outputs come back in
+/// index order.
 ///
-/// A feeder pushes tasks into an unbounded task channel. One CPU pool of
-/// `min(workers, hw)` threads, each owning one [`ScoreScratch`], turns
-/// every task into `(slot, statics, job)` in two timed steps, `extract`
-/// then `score` (the `stage="extract"` and `stage="score"` latency
-/// series). It parks the statics in the slot and hands the job to
-/// [`run_jobs_stream`] (`workers` threads) over a channel of `bound`
-/// entries. The verdict callback `settle` gets the slot's statics back and
-/// either settles the slot or pushes a follow-up task. A slot holds at
-/// most one task in flight.
-///
-/// The task channel is unbounded so the loop-back cannot deadlock: the
-/// substrate pool never blocks on the CPU pool, so the bounded job channel
-/// always drains. The run ends once the feeder has returned and every task
-/// has settled; the last to settle disconnects the task channel, and the
-/// CPU and substrate pools drain behind it.
-struct Engine<'m> {
-    /// Number of slots; every task's `score` step names one.
-    slots: usize,
-    /// Substrate pool width (the CPU pool is capped at the hardware).
+/// Threads share nothing but the cursor, the caches and the memo's single
+/// flight, so a panicking `item` cannot hang the run: the other threads
+/// finish the remaining indices and the scope re-raises the panic.
+fn run_to_completion<O: Send + Sync>(
+    items: usize,
     workers: usize,
-    /// Bound of the CPU → substrate job channel.
-    bound: usize,
-    memo: &'m ScoreMemo,
-}
-
-impl Engine<'_> {
-    /// Runs the engine to completion: every slot's output in slot order,
-    /// plus the substrate pool's statistics. Panics if a slot never
-    /// settles (the feeder left it without a task).
-    fn run<T, X, S, O>(
-        &self,
-        feed: impl FnOnce(&(dyn Fn(T) + Sync)) + Send,
-        extract: impl Fn(T) -> X + Sync,
-        score: impl Fn(X, &mut ScoreScratch) -> (usize, S, UnitTestJob) + Sync,
-        settle: impl Fn(usize, S, JobResult) -> Settle<T, O> + Sync,
-    ) -> (Vec<O>, StreamStats)
-    where
-        T: Send,
-        S: Send,
-        O: Send + Sync,
-    {
-        let workers = self.workers.max(1);
-        let hw = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(workers);
-        let (task_tx, task_rx) = channel::<T>();
-        let task_tx = Mutex::new(Some(task_tx));
-        let task_rx = Mutex::new(task_rx);
-        let push = |task: T| {
-            if let Some(tx) = task_tx.lock().expect("task sender poisoned").as_ref() {
-                // The receiver outlives every sender: sending cannot fail.
-                let _ = tx.send(task);
-            }
-        };
-        let close = || *task_tx.lock().unwrap_or_else(PoisonError::into_inner) = None;
-        // Open work: the feeder until it returns, plus every pushed task
-        // that has not settled yet.
-        let open = AtomicUsize::new(1);
-        let settle_one = || {
-            if open.fetch_sub(1, Ordering::AcqRel) == 1 {
-                close();
-            }
-        };
-        let parked: Vec<Mutex<Option<S>>> = (0..self.slots).map(|_| Mutex::new(None)).collect();
-        let outputs: Vec<OnceLock<O>> = (0..self.slots).map(|_| OnceLock::new()).collect();
-        let (job_tx, job_rx) = sync_channel::<(usize, UnitTestJob)>(self.bound.max(1));
-        let extract_series = StageSeries::new("extract");
-        let score_series = StageSeries::new("score");
-        let stats = std::thread::scope(|scope| {
-            let (push, close, settle_one) = (&push, &close, &settle_one);
-            let (parked, task_rx, open) = (&parked, &task_rx, &open);
-            let (extract, score) = (&extract, &score);
-            let (extract_series, score_series) = (&extract_series, &score_series);
-            scope.spawn(move || {
-                let _fail = CloseOnPanic(close);
-                feed(&|task| {
-                    open.fetch_add(1, Ordering::Relaxed);
-                    push(task);
-                });
-                settle_one();
-            });
-            for _ in 0..workers.min(hw) {
-                let job_tx = job_tx.clone();
-                scope.spawn(move || {
-                    let _fail = CloseOnPanic(close);
-                    let mut scratch = ScoreScratch::new();
-                    loop {
-                        let idle_from = Instant::now();
-                        let received = task_rx.lock().expect("task receiver poisoned").recv();
-                        let Ok(task) = received else { break };
-                        let x = extract_series.time(idle_from.elapsed(), || extract(task));
-                        // Scoring follows extraction on the same thread:
-                        // there is no handoff to wait on.
-                        let (slot, statics, job) =
-                            score_series.time(Duration::ZERO, || score(x, &mut scratch));
-                        *parked[slot].lock().expect("engine slot poisoned") = Some(statics);
-                        if job_tx.send((slot, job)).is_err() {
-                            break;
-                        }
+    item: impl Fn(usize, Duration, &mut ScoreScratch) -> O + Sync,
+) -> Vec<O> {
+    let cursor = AtomicUsize::new(0);
+    let outputs: Vec<OnceLock<O>> = (0..items).map(|_| OnceLock::new()).collect();
+    std::thread::scope(|scope| {
+        for _ in 0..workers.max(1).min(items) {
+            scope.spawn(|| {
+                let mut scratch = ScoreScratch::new();
+                loop {
+                    let idle_from = Instant::now();
+                    let index = cursor.fetch_add(1, Ordering::Relaxed);
+                    if index >= items {
+                        break;
                     }
-                });
-            }
-            drop(job_tx);
-            run_jobs_stream(job_rx, workers, self.memo, |slot, result| {
-                let _fail = CloseOnPanic(close);
-                let statics = parked[slot]
-                    .lock()
-                    .expect("engine slot poisoned")
-                    .take()
-                    .expect("statics parked before dispatch");
-                match settle(slot, statics, result) {
-                    Settle::Done(out) => {
-                        assert!(outputs[slot].set(out).is_ok(), "slot {slot} settled twice");
-                        settle_one();
-                    }
-                    Settle::Again(task) => push(task),
+                    let out = item(index, idle_from.elapsed(), &mut scratch);
+                    assert!(outputs[index].set(out).is_ok(), "index {index} ran twice");
                 }
-            })
-        });
-        let outputs = outputs
-            .into_iter()
-            .map(|out| out.into_inner().expect("engine left a slot unsettled"))
-            .collect();
-        (outputs, stats)
-    }
+            });
+        }
+    });
+    outputs
+        .into_iter()
+        .map(|out| out.into_inner().expect("every index ran"))
+        .collect()
 }
 
-/// Runs the full pipeline for one model — the streaming driver: the judge
-/// engine fed by [`llmsim::query_stream`], whose `workers`-wide pool emits
-/// each response the moment it completes.
+/// The unit-test verdict of `doc` under `script` through the memo's
+/// single flight: a memo hit, a wait on a concurrent execution of the
+/// same candidate, or one hermetic execution. `retry` marks a repair
+/// resubmission ([`ScoreMemo::get_fresh`]).
+fn judge(
+    memo: &ScoreMemo,
+    doc: &PreparedDoc,
+    script: &str,
+    retry: bool,
+) -> (CachedVerdict, Answered) {
+    let key = (doc.content_hash(), substrate::content_hash(script));
+    memo.single_flight(key, retry, || evalcluster::execute_uncached(doc, script))
+}
+
+/// Runs the full pipeline for one model — the streaming driver: each
+/// engine thread generates one coordinate's response (sleeping through
+/// [`EvalOptions::live_latency_ms`] the way [`QueryConfig::live_latency`]
+/// does), then extracts, scores, judges and classifies it.
 ///
-/// Each candidate is parsed exactly once into a shared [`PreparedDoc`]
-/// that flows from static scoring into substrate execution, and each
-/// reference is prepared once per [`RefCache`] lifetime.
+/// Each candidate is parsed exactly once into a [`PreparedDoc`] that
+/// serves static scoring, substrate execution and answer classification,
+/// and each reference is prepared once per [`RefCache`] lifetime.
 ///
 /// Output is record-for-record identical to [`evaluate_barriered`] (same
-/// `EvalRecord`s in the same order) for any worker count, stride or
-/// channel bound; only the schedule differs. See the
-/// `pipeline_determinism` test suite for the property-based proof.
+/// `EvalRecord`s in the same order) for any worker count or stride; only
+/// the schedule differs. See the `pipeline_determinism` test suite for
+/// the property-based proof.
 pub fn evaluate(
     model: &SimulatedModel,
     dataset: &Dataset,
@@ -437,50 +355,36 @@ pub fn evaluate(
 ) -> Vec<EvalRecord> {
     let (coords, prompts) = plan(dataset, options);
     let local_memo = ScoreMemo::new();
+    let memo = options.memo_or(&local_memo);
     let local_refs = RefCache::new();
     let refs = options.refs_or(&local_refs);
-    let engine = Engine {
-        slots: coords.len(),
-        workers: options.workers,
-        bound: options.channel_bound,
-        memo: options.memo_or(&local_memo),
-    };
-    let (records, _) = engine.run(
-        |push| {
-            llmsim::query_stream(
-                model,
-                &prompts,
-                &options.params,
-                &options.query_config(),
-                |index, raw| push((index, raw)),
-            );
-        },
-        |(index, raw): (usize, String)| (index, PreparedDoc::shared(extract_yaml(&raw))),
-        |(index, doc), scratch| {
-            let (problem, variant) = coords[index];
+    let stages = Stages::new();
+    run_to_completion(coords.len(), options.workers, |index, waited, scratch| {
+        let (problem, variant) = coords[index];
+        let raw = model.generate(&prompts[index], &options.params);
+        if let Some(ms) = options.live_latency_ms {
+            // The worker is "on the wire" for the service time.
+            std::thread::sleep(Duration::from_millis(ms));
+        }
+        let doc = stages
+            .extract
+            .time(waited, || PreparedDoc::new(extract_yaml(&raw)));
+        let (reference, scores) = stages.score.time(Duration::ZERO, || {
             let reference = refs.prepare(&problem.labeled_reference);
             let scores = score_pair_prepared_with(&reference, &doc, scratch);
-            let job = UnitTestJob::prepared(
-                format!("{}@{variant:?}", problem.id),
-                problem.unit_test.clone(),
-                Arc::clone(&doc),
-            );
-            (index, (doc, reference, scores), job)
-        },
-        |index, (doc, reference, scores), result| {
-            let (problem, variant) = coords[index];
-            Settle::Done(assemble_record(
-                model.name(),
-                problem,
-                variant,
-                reference.clean_text(),
-                doc.text().to_owned(),
-                scores,
-                result.passed,
-            ))
-        },
-    );
-    records
+            (reference, scores)
+        });
+        let (verdict, _) = judge(memo, &doc, &problem.unit_test, false);
+        assemble_record(
+            model.name(),
+            problem,
+            variant,
+            reference.clean_text(),
+            doc.text().to_owned(),
+            judged(scores, verdict.passed),
+            llmsim::classify_prepared(&doc, reference.clean_doc(), verdict.passed),
+        )
+    })
 }
 
 /// Runs the full pipeline for one model with the seed's phase barriers:
@@ -523,14 +427,16 @@ pub fn evaluate_barriered(
         .zip(report.results)
         .map(|(((problem, variant), yaml), job_result)| {
             let scores = cescore::score_pair_text(&problem.labeled_reference, &yaml);
+            let clean_reference = problem.clean_reference();
+            let answer_class = llmsim::classify_answer(&yaml, &clean_reference, job_result.passed);
             assemble_record(
                 model.name(),
                 problem,
                 variant,
-                &problem.clean_reference(),
+                &clean_reference,
                 yaml,
-                scores,
-                job_result.passed,
+                judged(scores, job_result.passed),
+                answer_class,
             )
         })
         .collect()
@@ -662,30 +568,21 @@ fn repair_job(
     }
 }
 
-/// One repair-loop task: a coordinate's next attempt, carrying the
-/// attempts before it.
-struct RepairTask {
-    slot: usize,
-    round: usize,
-    prompt: String,
-    attempts: Vec<RepairAttempt>,
-}
-
-/// Runs the fail–learn–refine loop on the judge engine: every
-/// coordinate's first attempt flows through generation → extraction →
-/// static scoring → substrate execution, and a failing verdict below the
-/// round cap **loops back** — the verdict callback synthesizes taxonomy
-/// feedback ([`llmsim::synthesize_feedback`]), builds the repair prompt,
-/// and re-feeds the coordinate to the CPU pool while other records keep
-/// streaming. No phase barrier: one coordinate can be on round 2 while
-/// another is still generating round 0.
+/// Runs the fail–learn–refine loop on the judge engine: each engine
+/// thread takes a coordinate and runs its attempts through generation →
+/// extraction → static scoring → substrate execution, and a failing
+/// verdict below the round cap **loops back** on the same thread — it
+/// synthesizes taxonomy feedback ([`llmsim::synthesize_feedback`]),
+/// builds the repair prompt and starts the next round while the other
+/// threads keep working on theirs. No phase barrier: one coordinate can
+/// be on round 2 while another is still generating round 0.
 ///
 /// Memo-aware end to end: repeat candidates are answered from the
 /// [`ScoreMemo`], and repair resubmissions (round > 0) re-execute only
 /// retryable failures. Output is identical to
-/// [`evaluate_repair_barriered`] for any worker count or channel bound —
-/// repair generation is seeded by the prior attempt's content, so the
-/// schedule cannot leak into the traces.
+/// [`evaluate_repair_barriered`] for any worker count — repair generation
+/// is seeded by the prior attempt's content, so the schedule cannot leak
+/// into the traces.
 pub fn evaluate_repair(
     model: &SimulatedModel,
     dataset: &Dataset,
@@ -699,72 +596,50 @@ pub fn evaluate_repair(
     static RUN_NONCE: AtomicU64 = AtomicU64::new(1);
     let run_nonce = RUN_NONCE.fetch_add(1, Ordering::Relaxed);
     let local_memo = ScoreMemo::new();
+    let memo = options.memo_or(&local_memo);
     let local_refs = RefCache::new();
     let refs = options.refs_or(&local_refs);
-    let engine = Engine {
-        slots: coords.len(),
-        workers: options.workers,
-        bound: options.channel_bound,
-        memo: options.memo_or(&local_memo),
-    };
-    let (histories, _) = engine.run(
-        |push| {
-            for (slot, prompt) in prompts.into_iter().enumerate() {
-                push(RepairTask {
-                    slot,
-                    round: 0,
-                    prompt,
-                    attempts: Vec::new(),
-                });
-            }
-        },
-        // Generation runs inside the task: initial and repair attempts
-        // take the same path — a repair request is just a prompt.
-        |task: RepairTask| {
+    let stages = Stages::new();
+    let histories = run_to_completion(coords.len(), options.workers, |slot, waited, scratch| {
+        let (problem, variant) = coords[slot];
+        let trace = TraceId::for_record(run_nonce, slot);
+        let mut prompt = Cow::Borrowed(prompts[slot].as_str());
+        let mut waited = waited;
+        let mut attempts = Vec::new();
+        for round in 0..=rounds {
             // One span per attempt, child spans per stage — the
             // generation→extraction→scoring path of this round,
             // correlated with its verdict leg by the trace id.
-            let mut attempt =
-                Span::start("repair_attempt", TraceId::for_record(run_nonce, task.slot));
+            let mut attempt = Span::start("repair_attempt", trace);
             if attempt.is_recording() {
-                attempt.tag("round", task.round.to_string());
-                attempt.tag("problem", coords[task.slot].0.id.clone());
+                attempt.tag("round", round.to_string());
+                attempt.tag("problem", problem.id.clone());
             }
-            let raw = {
-                let _gen = attempt.child("generate");
-                model.generate(&task.prompt, &options.params)
-            };
-            let doc = {
+            // Generation runs inside the extract stage: initial and
+            // repair attempts take the same path — a repair request is
+            // just a prompt.
+            let doc = stages.extract.time(std::mem::take(&mut waited), || {
+                let raw = {
+                    let _gen = attempt.child("generate");
+                    model.generate(&prompt, &options.params)
+                };
                 let _extract = attempt.child("extract");
-                PreparedDoc::shared(extract_yaml(&raw))
-            };
-            (task, doc, attempt)
-        },
-        |(task, doc, attempt), scratch| {
-            let (problem, variant) = coords[task.slot];
-            let reference = refs.prepare(&problem.labeled_reference);
-            let scores = {
+                PreparedDoc::new(extract_yaml(&raw))
+            });
+            let scores = stages.score.time(Duration::ZERO, || {
+                let reference = refs.prepare(&problem.labeled_reference);
                 let _score = attempt.child("score");
                 score_pair_prepared_with(&reference, &doc, scratch)
-            };
+            });
             attempt.finish();
-            let job = repair_job(problem, variant, task.round, &doc);
-            (task.slot, (task, doc, scores), job)
-        },
-        |slot, (task, doc, mut scores), result| {
-            let RepairTask {
-                round,
-                mut attempts,
-                ..
-            } = task;
-            let diagnosis = result.diagnosis;
+            let (verdict, _) = judge(memo, &doc, &problem.unit_test, round > 0);
+            let diagnosis = verdict.diagnosis;
             // The verdict leg of the attempt's trace: round number and
             // taxonomy bucket, correlated by the shared trace id.
-            let mut verdict_span =
-                Span::start("repair_verdict", TraceId::for_record(run_nonce, slot));
+            let mut verdict_span = Span::start("repair_verdict", trace);
             if verdict_span.is_recording() {
                 verdict_span.tag("round", round.to_string());
-                verdict_span.tag("passed", result.passed.to_string());
+                verdict_span.tag("passed", verdict.passed.to_string());
                 verdict_span.tag(
                     "bucket",
                     diagnosis
@@ -774,33 +649,27 @@ pub fn evaluate_repair(
                 );
             }
             verdict_span.finish();
-            scores.unit_test = f64::from(u8::from(result.passed));
             attempts.push(RepairAttempt {
                 round,
                 extracted: doc.text().to_owned(),
-                scores,
-                passed: result.passed,
+                scores: judged(scores, verdict.passed),
+                passed: verdict.passed,
                 bucket: diagnosis.as_ref().map(|d| d.bucket.label().to_owned()),
                 subject: diagnosis.as_ref().and_then(|d| d.subject.clone()),
             });
-            if result.passed || round >= rounds {
-                return Settle::Done(attempts);
+            if verdict.passed || round == rounds {
+                break;
             }
-            let (problem, variant) = coords[slot];
             let fb = llmsim::synthesize_feedback(diagnosis.as_ref(), feedback);
-            Settle::Again(RepairTask {
-                slot,
-                round: round + 1,
-                prompt: llmsim::repair_prompt(
-                    &problem.prompt_body(variant),
-                    doc.text(),
-                    &fb,
-                    round + 1,
-                ),
-                attempts,
-            })
-        },
-    );
+            prompt = Cow::Owned(llmsim::repair_prompt(
+                &problem.prompt_body(variant),
+                doc.text(),
+                &fb,
+                round + 1,
+            ));
+        }
+        attempts
+    });
     let traces = coords
         .iter()
         .zip(histories)
@@ -874,13 +743,12 @@ pub fn evaluate_repair_barriered(
         // 3. Record the round; failures below the cap become next round's
         // repair prompts.
         let mut next = Vec::new();
-        for ((slot, doc, mut scores), result) in prepared.into_iter().zip(report.results) {
+        for ((slot, doc, scores), result) in prepared.into_iter().zip(report.results) {
             let (problem, variant) = coords[slot];
-            scores.unit_test = f64::from(u8::from(result.passed));
             traces[slot].attempts.push(RepairAttempt {
                 round,
                 extracted: doc.text().to_owned(),
-                scores,
+                scores: judged(scores, result.passed),
                 passed: result.passed,
                 bucket: result
                     .diagnosis
@@ -989,8 +857,8 @@ impl StageGauges {
         self.scoring.load(Ordering::Relaxed)
     }
 
-    /// Submissions dispatched to the substrate stage and not yet judged
-    /// (queued or executing).
+    /// Submissions in unit-test judging: executing, or waiting on an
+    /// in-flight execution of the same candidate.
     pub fn executing(&self) -> usize {
         self.executing.load(Ordering::Relaxed)
     }
@@ -1019,27 +887,25 @@ impl Drop for GaugeGuard<'_> {
 
 /// Builds the final verdict from the scored pieces — shared by the single
 /// and streaming submission paths so both stay identical to [`evaluate`]'s
-/// [`assemble_record`] semantics.
+/// records.
 fn assemble_verdict(
     problem: &Problem,
     variant: Variant,
     reference: &cescore::PreparedRef,
-    yaml: String,
-    mut scores: Scores,
-    execution: evalcluster::CachedVerdict,
+    doc: &PreparedDoc,
+    scores: Scores,
+    execution: CachedVerdict,
     cached: bool,
 ) -> SubmissionVerdict {
     let passed = execution.passed;
-    scores.unit_test = f64::from(u8::from(passed));
-    let answer_class = llmsim::classify_answer(&yaml, reference.clean_text(), passed);
     SubmissionVerdict {
         problem_id: problem.id.clone(),
         variant,
-        extracted: yaml,
-        scores,
+        extracted: doc.text().to_owned(),
+        scores: judged(scores, passed),
         passed,
         simulated_ms: execution.simulated_ms,
-        answer_class,
+        answer_class: llmsim::classify_prepared(doc, reference.clean_doc(), passed),
         failure_bucket: execution
             .diagnosis
             .as_ref()
@@ -1084,34 +950,22 @@ pub fn score_submission_doc(
 ) -> SubmissionVerdict {
     let reference = refs.prepare(&problem.labeled_reference);
     let scores = score_pair_prepared(&reference, doc);
-    let key = (
-        doc.content_hash(),
-        substrate::content_hash(&problem.unit_test),
-    );
-    let (verdict, cached) = match memo.get(key) {
-        Some(v) => (v, true),
-        None => {
-            let verdict = evalcluster::execute_uncached(doc, &problem.unit_test);
-            memo.insert(key, verdict.clone());
-            (verdict, false)
-        }
-    };
+    let (verdict, answered) = judge(memo, doc, &problem.unit_test, false);
     assemble_verdict(
         problem,
         variant,
         &reference,
-        doc.text().to_owned(),
+        doc,
         scores,
         verdict,
-        cached,
+        answered == Answered::Cached,
     )
 }
 
-/// Streams a batch of submissions through the judge engine: the CPU pool
-/// runs extraction + static scoring (parsing each candidate exactly once
-/// into a [`PreparedDoc`] shared with its substrate job), the memo-aware
-/// substrate stage ([`run_jobs_stream`]) judges it, and `emit` fires once
-/// per submission **in completion order** (the submission's index makes
+/// Scores a batch of submissions on the judge engine: each engine thread
+/// takes the next submission and runs extraction, the one parse into a
+/// [`PreparedDoc`], static scoring and the memo-aware unit test, then
+/// `emit` fires **in completion order** (the submission's index makes
 /// reassembly trivial). Verdicts are identical to calling
 /// [`score_submission`] per item — only the schedule differs.
 ///
@@ -1128,68 +982,51 @@ pub fn score_submissions_stream<F>(
 where
     F: Fn(usize, SubmissionVerdict) + Send + Sync,
 {
-    let engine = Engine {
-        slots: submissions.len(),
-        workers,
-        bound: DEFAULT_CHANNEL_BOUND,
-        memo,
-    };
-    let (_, stats) = engine.run(
-        |push| (0..submissions.len()).for_each(push),
-        |i: usize| {
+    let stages = Stages::new();
+    let executed = AtomicUsize::new(0);
+    run_to_completion(submissions.len(), workers, |i, waited, scratch| {
+        let sub = &submissions[i];
+        let doc = stages.extract.time(waited, || {
             let _g = GaugeGuard::enter(&gauges.extracting);
-            let sub = &submissions[i];
             let yaml = match &sub.extracted {
                 Some(done) => done.clone(),
                 None => extract_yaml(&sub.raw),
             };
-            (i, PreparedDoc::shared(yaml))
-        },
-        |(i, doc), scratch| {
-            let sub = &submissions[i];
+            PreparedDoc::new(yaml)
+        });
+        let (reference, scores) = stages.score.time(Duration::ZERO, || {
             let reference = refs.prepare(&sub.problem.labeled_reference);
-            let scores = {
-                let _g = GaugeGuard::enter(&gauges.scoring);
-                score_pair_prepared_with(&reference, &doc, scratch)
-            };
-            let cached = memo
-                .peek((
-                    doc.content_hash(),
-                    substrate::content_hash(&sub.problem.unit_test),
-                ))
-                .is_some();
-            let job = UnitTestJob::prepared(
-                format!("{}@{:?}", sub.problem.id, sub.variant),
-                sub.problem.unit_test.clone(),
-                Arc::clone(&doc),
-            );
-            gauges.executing.fetch_add(1, Ordering::Relaxed);
-            (i, (doc, scores, cached, reference), job)
-        },
-        |i, (doc, scores, cached, reference), result| {
-            gauges.executing.fetch_sub(1, Ordering::Relaxed);
-            gauges.completed.fetch_add(1, Ordering::Relaxed);
-            let sub = &submissions[i];
-            emit(
-                i,
-                assemble_verdict(
-                    sub.problem,
-                    sub.variant,
-                    &reference,
-                    doc.text().to_owned(),
-                    scores,
-                    evalcluster::CachedVerdict {
-                        passed: result.passed,
-                        simulated_ms: result.simulated_ms,
-                        diagnosis: result.diagnosis,
-                    },
-                    cached,
-                ),
-            );
-            Settle::Done(())
-        },
-    );
-    stats
+            let _g = GaugeGuard::enter(&gauges.scoring);
+            let scores = score_pair_prepared_with(&reference, &doc, scratch);
+            (reference, scores)
+        });
+        let (verdict, answered) = {
+            let _g = GaugeGuard::enter(&gauges.executing);
+            judge(memo, &doc, &sub.problem.unit_test, false)
+        };
+        if answered == Answered::Executed {
+            executed.fetch_add(1, Ordering::Relaxed);
+        }
+        gauges.completed.fetch_add(1, Ordering::Relaxed);
+        emit(
+            i,
+            assemble_verdict(
+                sub.problem,
+                sub.variant,
+                &reference,
+                &doc,
+                scores,
+                verdict,
+                answered == Answered::Cached,
+            ),
+        );
+    });
+    let executed = executed.into_inner();
+    StreamStats {
+        workers: workers.max(1),
+        executed,
+        cache_hits: submissions.len() - executed,
+    }
 }
 
 /// Mean scores over records (a Table 4 row).
@@ -1206,7 +1043,7 @@ pub fn pass_count(records: &[EvalRecord]) -> usize {
 mod tests {
     use super::*;
     use llmsim::ModelProfile;
-    use std::sync::Arc;
+    use std::sync::{Arc, Mutex};
 
     fn quick_eval(model_name: &str, stride: usize) -> Vec<EvalRecord> {
         let dataset = Arc::new(Dataset::generate());
@@ -1543,22 +1380,25 @@ mod tests {
     #[test]
     #[should_panic(expected = "a scoped thread panicked")]
     fn panicking_stage_fails_the_run_instead_of_hanging() {
-        // One task, two CPU workers: without the engine's panic guard the
-        // idle worker would block on the task channel forever and the run
-        // would hang.
-        let memo = ScoreMemo::new();
-        let engine = Engine {
-            slots: 1,
-            workers: 2,
-            bound: 1,
-            memo: &memo,
-        };
-        let _ = engine.run(
-            |push| push(0),
-            |slot: usize| -> usize { panic!("extract failed on slot {slot}") },
-            |_, _| -> (usize, (), UnitTestJob) { unreachable!() },
-            |_, (), _| -> Settle<usize, ()> { unreachable!() },
-        );
+        // One of eight items panics on a two-thread pool: the other thread
+        // finishes the rest, and the run fails instead of hanging.
+        let _: Vec<usize> = run_to_completion(8, 2, |index, _, _| {
+            assert_ne!(index, 3, "extract failed on item {index}");
+            index
+        });
+    }
+
+    #[test]
+    fn engine_runs_every_item_once_in_index_order() {
+        for (items, workers) in [(0, 4), (1, 4), (7, 1), (50, 3)] {
+            let ran = AtomicUsize::new(0);
+            let out = run_to_completion(items, workers, |index, _, _| {
+                ran.fetch_add(1, Ordering::Relaxed);
+                index * 2
+            });
+            assert_eq!(out, (0..items).map(|i| i * 2).collect::<Vec<_>>());
+            assert_eq!(ran.into_inner(), items);
+        }
     }
 
     #[test]

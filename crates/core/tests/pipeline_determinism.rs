@@ -1,8 +1,8 @@
-//! Ordering-determinism proof for the streaming stage-graph driver: for
-//! arbitrary worker counts, strides, channel bounds, models and variant
-//! subsets, `evaluate` must produce **record-for-record identical**
-//! output to the barriered seed path `evaluate_barriered` — same
-//! `EvalRecord`s, same order, same scores, same classifications.
+//! Ordering-determinism proof for the streaming driver: for arbitrary
+//! worker counts, strides, models and variant subsets, `evaluate` must
+//! produce **record-for-record identical** output to the barriered seed
+//! path `evaluate_barriered` — same `EvalRecord`s, same order, same
+//! scores, same classifications.
 
 use std::sync::{Arc, OnceLock};
 
@@ -47,7 +47,6 @@ proptest! {
     fn streamed_evaluate_is_record_identical_to_barriered(
         workers in 1usize..6,
         stride in 18usize..48,
-        bound in 1usize..48,
         model_idx in 0usize..12,
         variant_mask in 1usize..8,
     ) {
@@ -56,7 +55,6 @@ proptest! {
         let options = EvalOptions {
             workers,
             stride,
-            channel_bound: bound,
             variants: variant_subset(variant_mask),
             ..EvalOptions::default()
         };
@@ -67,9 +65,8 @@ proptest! {
 }
 
 /// The same property pinned to the adversarial corners proptest's random
-/// draws can miss: single-worker pools, a channel bound of 1 (maximum
-/// backpressure: every job handoff is a rendezvous), and worker counts
-/// far above the record count.
+/// draws can miss: a single-worker pool (the degenerate run-to-completion
+/// schedule) and worker counts far above the record count.
 #[test]
 fn determinism_holds_at_scheduling_extremes() {
     let (dataset, models) = models();
@@ -83,20 +80,16 @@ fn determinism_holds_at_scheduling_extremes() {
             ..EvalOptions::default()
         },
     );
-    for (workers, bound) in [(1, 1), (1, 256), (16, 1), (32, 2)] {
+    for workers in [1, 16, 32] {
         let streamed = evaluate(
             model,
             dataset,
             &EvalOptions {
                 workers,
                 stride: 30,
-                channel_bound: bound,
                 ..EvalOptions::default()
             },
         );
-        assert_eq!(
-            streamed, reference,
-            "divergence at workers={workers}, bound={bound}"
-        );
+        assert_eq!(streamed, reference, "divergence at workers={workers}");
     }
 }

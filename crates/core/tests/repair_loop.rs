@@ -13,11 +13,10 @@ fn model(name: &str, dataset: &Arc<Dataset>) -> SimulatedModel {
     SimulatedModel::new(ModelProfile::by_name(name).unwrap(), Arc::clone(dataset))
 }
 
-fn options(stride: usize, workers: usize, channel_bound: usize) -> EvalOptions {
+fn options(stride: usize, workers: usize) -> EvalOptions {
     EvalOptions {
         stride,
         workers,
-        channel_bound,
         ..EvalOptions::default()
     }
 }
@@ -29,23 +28,23 @@ fn streamed_and_barriered_repair_reports_are_identical() {
     let reference = evaluate_repair_barriered(
         &gpt4,
         &dataset,
-        &options(17, 4, 8),
+        &options(17, 4),
         2,
         FeedbackMode::BucketOnly,
     );
     assert!(reference.total() > 0);
-    // Any worker count or channel bound must reproduce the reference byte
-    // for byte — the repair chain is seeded by attempt content, so the
-    // schedule cannot leak into the traces.
-    for (workers, bound) in [(1, 1), (4, 8), (16, 64)] {
+    // Any worker count must reproduce the reference byte for byte — the
+    // repair chain is seeded by attempt content, so the schedule cannot
+    // leak into the traces.
+    for workers in [1, 4, 16] {
         let streamed = evaluate_repair(
             &gpt4,
             &dataset,
-            &options(17, workers, bound),
+            &options(17, workers),
             2,
             FeedbackMode::BucketOnly,
         );
-        assert_eq!(streamed, reference, "workers={workers} bound={bound}");
+        assert_eq!(streamed, reference, "workers={workers}");
     }
 }
 
@@ -53,7 +52,7 @@ fn streamed_and_barriered_repair_reports_are_identical() {
 fn bucket_feedback_repairs_but_bare_retry_does_not() {
     let dataset = Arc::new(Dataset::generate());
     let gpt4 = model("gpt-4", &dataset);
-    let opts = options(7, 8, 16);
+    let opts = options(7, 8);
     let rounds = 2;
     let bucketed = evaluate_repair(&gpt4, &dataset, &opts, rounds, FeedbackMode::BucketOnly);
     let blind = evaluate_repair(&gpt4, &dataset, &opts, rounds, FeedbackMode::None);
@@ -92,7 +91,7 @@ fn every_failure_bucket_sees_repairs_under_bucket_feedback() {
     let dataset = Arc::new(Dataset::generate());
     // A mid-tier model fails often enough to populate several buckets.
     let llama = model("llama-2-70b-chat", &dataset);
-    let opts = options(3, 8, 16);
+    let opts = options(3, 8);
     let rounds = 3;
     let bucketed = evaluate_repair(&llama, &dataset, &opts, rounds, FeedbackMode::BucketOnly);
     let blind = evaluate_repair(&llama, &dataset, &opts, rounds, FeedbackMode::None);

@@ -1,14 +1,16 @@
 //! The parallel unit-test executor: the live counterpart of §3.3's
 //! "Scalable Evaluation Cluster".
 //!
-//! One scheduler runs every job: [`run_jobs_stream`] pulls
-//! `(record_index, job)` pairs from a channel as they arrive, executes
-//! them on a fresh [`substrate::ShellSubstrate`] sandbox, and consults a
-//! content-addressed score memo ([`crate::memo`]) so identical
+//! [`run_jobs_stream`] pulls `(record_index, job)` pairs from a channel
+//! as they arrive, executes them on a fresh [`substrate::ShellSubstrate`]
+//! sandbox, and judges each through the content-addressed score memo's
+//! single flight ([`ScoreMemo::single_flight`]) so identical
 //! `(candidate, script)` pairs — ubiquitous under pass@k sampling —
 //! execute exactly once. [`run_jobs_cached`] (and [`run_jobs`], with a
 //! run-local memo) is its batch form: it queues a slice of jobs into the
-//! stream and collects the results back into input order.
+//! stream and collects the results back into input order. The harness's
+//! judge engine calls the same single flight with [`execute_uncached`]
+//! from its own threads, so every driver dedups by one rule.
 //!
 //! Every job gets a freshly prepared substrate environment, so tests are
 //! hermetic — the clean-environment guarantee the paper gets from tearing
@@ -20,7 +22,7 @@ use std::time::{Duration, Instant};
 use substrate::{content_hash, ShellSubstrate};
 use yamlkit::PreparedDoc;
 
-use crate::memo::{CachedVerdict, ScoreMemo};
+use crate::memo::{Answered, CachedVerdict, ScoreMemo};
 
 /// The candidate side of a job: either raw text (the pre-refactor shape,
 /// parsed by every layer that touches it) or a parse-once
@@ -151,9 +153,9 @@ pub struct JobResult {
     pub passed: bool,
     /// Simulated in-cluster seconds the test consumed (sleeps + waits).
     pub simulated_ms: u64,
-    /// Which worker ran it. A duplicate that arrives while its key is
-    /// executing reports the executing worker; a result answered from the
-    /// memo reports 0 (no worker ran it for this record).
+    /// Which worker ran it. A result this job did not execute — a memo
+    /// hit, or a wait for a concurrent execution of the same key —
+    /// reports 0.
     pub worker: usize,
     /// Taxonomy classification when the job failed (`None` on a pass).
     pub diagnosis: Option<substrate::taxonomy::Diagnosis>,
@@ -274,7 +276,8 @@ pub struct StreamStats {
     pub workers: usize,
     /// Jobs that actually executed on a substrate.
     pub executed: usize,
-    /// Jobs answered from the memo or the in-flight dedup table.
+    /// Jobs answered from the memo or by waiting for an in-flight
+    /// execution of the same key.
     pub cache_hits: usize,
 }
 
@@ -283,17 +286,12 @@ pub struct StreamStats {
 /// and emits each `(record_index, JobResult)` the moment its verdict is
 /// known. [`run_jobs_cached`] is its batch form.
 ///
-/// This is the execution stage of the harness's judge engine: upstream
-/// generation/scoring stages feed jobs while earlier jobs are already
-/// running, so substrate execution overlaps every other phase instead of
-/// waiting behind a barrier.
-///
-/// Deduplication is memo-aware and race-free on work (not just on
-/// results): the first arrival of a `(candidate, script)` key executes;
-/// arrivals *while that execution is in flight* park on a wait list and
-/// are answered when it completes; later arrivals hit the memo. Identical
-/// candidates therefore execute exactly once per memo lifetime. `emit` is
-/// called from worker threads, concurrently and in completion order.
+/// Every job is judged through [`ScoreMemo::single_flight`]: a memo hit
+/// answers without executing, the first arrival of a `(candidate,
+/// script)` key executes, and an arrival while that execution is in
+/// flight waits for its verdict. Identical candidates therefore execute
+/// exactly once per memo lifetime. `emit` is called from worker threads,
+/// concurrently and in completion order.
 ///
 /// Returns once the channel disconnects (all senders dropped) and every
 /// received job has been answered.
@@ -306,106 +304,47 @@ pub fn run_jobs_stream<F>(
 where
     F: Fn(usize, JobResult) + Send + Sync,
 {
-    use std::collections::HashMap;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Mutex;
 
-    // Parked duplicates of an executing key: (record_index, problem_id)
-    // pairs answered when the execution completes.
-    type WaitList = Vec<(usize, String)>;
     let workers = workers.max(1);
     let input = Mutex::new(jobs);
-    let in_flight: Mutex<HashMap<(u64, u64), WaitList>> = Mutex::new(HashMap::new());
     let executed = AtomicUsize::new(0);
-    let cache_hits = AtomicUsize::new(0);
+    let answered = AtomicUsize::new(0);
     std::thread::scope(|scope| {
         for w in 0..workers {
-            let input = &input;
-            let in_flight = &in_flight;
-            let executed = &executed;
-            let cache_hits = &cache_hits;
-            let emit = &emit;
+            let (input, executed, answered, emit) = (&input, &executed, &answered, &emit);
             scope.spawn(move || loop {
                 let received = input.lock().expect("stream input poisoned").recv();
                 let Ok((idx, job)) = received else { break };
-                let key = job.memo_key();
-                // A retry job treats a memoized retryable failure as
-                // stale and falls through to re-execute; any other
-                // memoized verdict answers it like a normal job.
-                // Fast path: a finished verdict in the memo.
-                if let Some(v) = memo.get_fresh(key, job.is_retry()) {
-                    cache_hits.fetch_add(1, Ordering::Relaxed);
-                    emit(idx, cached_result(job.problem_id, v));
-                    continue;
-                }
-                {
-                    let mut table = in_flight.lock().expect("in-flight table poisoned");
-                    if let Some(waiters) = table.get_mut(&key) {
-                        // Same key already executing: park until it lands.
-                        // (A retry that parks here gets the in-flight
-                        // execution's verdict — that execution is as
-                        // fresh as the one it would have started.)
-                        waiters.push((idx, job.problem_id));
-                        cache_hits.fetch_add(1, Ordering::Relaxed);
-                        continue;
+                let (verdict, how) =
+                    memo.single_flight(job.memo_key(), job.is_retry(), || job.execute());
+                let worker = match how {
+                    Answered::Executed => {
+                        executed.fetch_add(1, Ordering::Relaxed);
+                        w
                     }
-                    // The key may have completed between the memo probe and
-                    // taking the table lock; re-check before claiming it.
-                    if let Some(v) = memo.get_fresh(key, job.is_retry()) {
-                        cache_hits.fetch_add(1, Ordering::Relaxed);
-                        emit(idx, cached_result(job.problem_id, v));
-                        continue;
-                    }
-                    table.insert(key, Vec::new());
-                }
-                let verdict = job.execute();
-                memo.insert(key, verdict.clone());
-                executed.fetch_add(1, Ordering::Relaxed);
+                    Answered::Cached => 0,
+                };
+                answered.fetch_add(1, Ordering::Relaxed);
                 emit(
                     idx,
                     JobResult {
                         problem_id: job.problem_id,
                         passed: verdict.passed,
                         simulated_ms: verdict.simulated_ms,
-                        worker: w,
-                        diagnosis: verdict.diagnosis.clone(),
+                        worker,
+                        diagnosis: verdict.diagnosis,
                     },
                 );
-                let waiters = in_flight
-                    .lock()
-                    .expect("in-flight table poisoned")
-                    .remove(&key)
-                    .unwrap_or_default();
-                for (widx, problem_id) in waiters {
-                    emit(
-                        widx,
-                        JobResult {
-                            problem_id,
-                            passed: verdict.passed,
-                            simulated_ms: verdict.simulated_ms,
-                            worker: w,
-                            diagnosis: verdict.diagnosis.clone(),
-                        },
-                    );
-                }
             });
         }
     });
+    let executed = executed.into_inner();
     StreamStats {
         workers,
-        executed: executed.load(Ordering::Relaxed),
-        cache_hits: cache_hits.load(Ordering::Relaxed),
-    }
-}
-
-/// A [`JobResult`] served from cache (no worker ran it this run).
-fn cached_result(problem_id: String, v: CachedVerdict) -> JobResult {
-    JobResult {
-        problem_id,
-        passed: v.passed,
-        simulated_ms: v.simulated_ms,
-        worker: 0,
-        diagnosis: v.diagnosis,
+        executed,
+        cache_hits: answered.into_inner() - executed,
     }
 }
 

@@ -2,12 +2,14 @@
 //!
 //! The CloudEval-YAML scalable evaluation platform (§3.3–§3.4):
 //!
-//! * [`executor`] — the parallel unit-test engine: one scheduler,
-//!   [`executor::run_jobs_stream`], consumes jobs as they arrive and runs
+//! * [`executor`] — the parallel unit-test engine:
+//!   [`executor::run_jobs_stream`] consumes jobs as they arrive and runs
 //!   them hermetically on [`substrate::ShellSubstrate`] with
 //!   content-addressed score memoization; [`executor::run_jobs_cached`]
 //!   is its batch form over a slice of jobs;
-//! * [`memo`] — the `(candidate, script)` content-addressed verdict cache;
+//! * [`memo`] — the `(candidate, script)` content-addressed verdict cache
+//!   and its single flight ([`memo::ScoreMemo::single_flight`]), the one
+//!   in-flight dedup rule every scheduler and driver uses;
 //! * [`des`] — a discrete-event simulation of the §3.3 Redis
 //!   master/worker cloud deployment (N× 4-core VMs, a shared 100 Mbps
 //!   uplink, the Figure 4 pull-through Docker registry cache) that
@@ -44,4 +46,4 @@ pub use executor::{
     execute_uncached, execute_uncached_text, run_jobs, run_jobs_cached, run_jobs_stream, JobResult,
     RunReport, StreamStats, UnitTestJob,
 };
-pub use memo::{CachedVerdict, ScoreMemo};
+pub use memo::{Answered, CachedVerdict, ScoreMemo};

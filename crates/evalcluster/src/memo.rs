@@ -25,7 +25,7 @@ use std::collections::HashMap;
 use std::io::{self, BufRead, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 
 use substrate::content_hash;
 use substrate::taxonomy::{Bucket, Diagnosis};
@@ -84,9 +84,59 @@ impl CachedVerdict {
 #[derive(Debug, Default)]
 pub struct ScoreMemo {
     map: Mutex<HashMap<(u64, u64), CachedVerdict>>,
+    /// Keys executing right now under [`ScoreMemo::single_flight`].
+    flights: Mutex<HashMap<(u64, u64), Arc<Flight>>>,
     hits: AtomicUsize,
     misses: AtomicUsize,
     stale_retries: AtomicUsize,
+}
+
+/// One in-flight execution: its outcome once it lands (`Some(None)` when
+/// the executing call panicked) and the condvar its waiters park on.
+#[derive(Debug, Default)]
+struct Flight {
+    landed: Mutex<Option<Option<CachedVerdict>>>,
+    done: Condvar,
+}
+
+/// How [`ScoreMemo::single_flight`] answered.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Answered {
+    /// From the memo, or by waiting for a concurrent caller's execution.
+    Cached,
+    /// By running the caller's execution.
+    Executed,
+}
+
+/// Lands a claimed flight when dropped: removes the key from the flight
+/// table and hands the outcome to every waiter. Dropped during a panic,
+/// it lands `None`, so a waiter claims the key itself instead of
+/// blocking forever.
+struct Landing<'m> {
+    memo: &'m ScoreMemo,
+    key: (u64, u64),
+    flight: Arc<Flight>,
+    verdict: Option<CachedVerdict>,
+}
+
+impl Drop for Landing<'_> {
+    fn drop(&mut self) {
+        self.memo
+            .flights
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .remove(&self.key);
+        // Only waiters hold another handle, and none can join once the
+        // key has left the table.
+        if Arc::strong_count(&self.flight) > 1 {
+            *self
+                .flight
+                .landed
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner) = Some(self.verdict.take());
+            self.flight.done.notify_all();
+        }
+    }
 }
 
 /// Process-wide memo traffic counters in the global obs registry,
@@ -155,6 +205,64 @@ impl ScoreMemo {
             return None;
         }
         Some(verdict)
+    }
+
+    /// The single-flight judge of one key: a memo hit (with the
+    /// [`get_fresh`](ScoreMemo::get_fresh) staleness rule) answers at
+    /// once; otherwise the first caller of `key` runs `execute` and
+    /// memoizes its verdict, and a caller arriving while that execution
+    /// is in flight waits for its verdict instead of executing again — a
+    /// retry included, since that execution is as fresh as the one it
+    /// would start. If the executing call panics, its waiters retry the
+    /// claim, so one of them executes instead.
+    ///
+    /// Identical candidates therefore execute once per memo lifetime,
+    /// whichever scheduler asks.
+    pub fn single_flight(
+        &self,
+        key: (u64, u64),
+        is_retry: bool,
+        execute: impl FnOnce() -> CachedVerdict,
+    ) -> (CachedVerdict, Answered) {
+        if let Some(v) = self.get_fresh(key, is_retry) {
+            return (v, Answered::Cached);
+        }
+        loop {
+            let mut flights = self.flights.lock().expect("flight table poisoned");
+            if let Some(flight) = flights.get(&key).map(Arc::clone) {
+                drop(flights);
+                let mut landed = flight.landed.lock().expect("flight poisoned");
+                while landed.is_none() {
+                    landed = flight.done.wait(landed).expect("flight poisoned");
+                }
+                match landed.clone().flatten() {
+                    Some(v) => return (v, Answered::Cached),
+                    // The executing call panicked: try to claim the key.
+                    None => continue,
+                }
+            }
+            // A flight lands its verdict in the memo before it leaves the
+            // table, so the key may have landed since the probe above.
+            if let Some(v) = self.peek(key) {
+                if !(is_retry && v.retryable_failure()) {
+                    return (v, Answered::Cached);
+                }
+            }
+            let flight = Arc::<Flight>::default();
+            flights.insert(key, Arc::clone(&flight));
+            drop(flights);
+            let mut landing = Landing {
+                memo: self,
+                key,
+                flight,
+                verdict: None,
+            };
+            let verdict = execute();
+            self.insert(key, verdict.clone());
+            landing.verdict = Some(verdict.clone());
+            drop(landing);
+            return (verdict, Answered::Executed);
+        }
     }
 
     /// Looks up a verdict **without** touching the hit/miss counters.
@@ -365,6 +473,88 @@ mod tests {
         assert_eq!(memo.hits(), 3);
         memo.clear();
         assert_eq!(memo.stale_retries(), 0);
+    }
+
+    #[test]
+    fn single_flight_executes_a_contended_key_once() {
+        let memo = ScoreMemo::new();
+        let key = ScoreMemo::key("kind: Pod", "script");
+        let runs = AtomicUsize::new(0);
+        let threads = 8;
+        let start = std::sync::Barrier::new(threads);
+        let answers: Vec<(CachedVerdict, Answered)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..threads)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        memo.single_flight(key, false, || {
+                            runs.fetch_add(1, Ordering::Relaxed);
+                            // Hold the flight open so the others find it.
+                            std::thread::sleep(std::time::Duration::from_millis(20));
+                            CachedVerdict::bare(true, 5)
+                        })
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(runs.into_inner(), 1);
+        let executed = answers
+            .iter()
+            .filter(|(_, a)| *a == Answered::Executed)
+            .count();
+        assert_eq!(executed, 1);
+        assert!(answers
+            .iter()
+            .all(|(v, _)| *v == CachedVerdict::bare(true, 5)));
+        assert_eq!(memo.len(), 1);
+        // Settled: a later caller is a plain memo hit.
+        let (_, answered) = memo.single_flight(key, false, || unreachable!("memoized"));
+        assert_eq!(answered, Answered::Cached);
+    }
+
+    #[test]
+    fn single_flight_retry_reexecutes_a_memoized_retryable_failure() {
+        let memo = ScoreMemo::new();
+        let key = ScoreMemo::key("kind: Pod", "script");
+        // No diagnosis: conservatively retryable.
+        memo.insert(key, CachedVerdict::bare(false, 3));
+        let (v, answered) = memo.single_flight(key, false, || unreachable!("plain jobs trust it"));
+        assert_eq!((v.passed, answered), (false, Answered::Cached));
+        let (v, answered) = memo.single_flight(key, true, || CachedVerdict::bare(true, 4));
+        assert_eq!((v.passed, answered), (true, Answered::Executed));
+        assert_eq!(memo.stale_retries(), 1);
+        // The fresh verdict replaced the stale one; a pass survives retries.
+        assert_eq!(memo.peek(key), Some(CachedVerdict::bare(true, 4)));
+        let (_, answered) = memo.single_flight(key, true, || unreachable!("passes stay cached"));
+        assert_eq!(answered, Answered::Cached);
+    }
+
+    #[test]
+    fn single_flight_waiter_gets_a_verdict_when_the_executor_panics() {
+        let memo = ScoreMemo::new();
+        let key = ScoreMemo::key("kind: Pod", "script");
+        let (started_tx, started_rx) = std::sync::mpsc::channel();
+        std::thread::scope(|scope| {
+            let executor = scope.spawn(|| {
+                memo.single_flight(key, false, || {
+                    started_tx.send(()).unwrap();
+                    std::thread::sleep(std::time::Duration::from_millis(50));
+                    panic!("substrate crashed mid-execution");
+                })
+            });
+            started_rx.recv().unwrap();
+            // The key is in flight: this caller waits, sees the flight
+            // land without a verdict, and executes the key itself.
+            let (v, answered) = memo.single_flight(key, false, || CachedVerdict::bare(true, 9));
+            assert_eq!(
+                (v, answered),
+                (CachedVerdict::bare(true, 9), Answered::Executed)
+            );
+            assert!(executor.join().is_err(), "the executor panicked");
+        });
+        assert_eq!(memo.peek(key), Some(CachedVerdict::bare(true, 9)));
+        assert!(memo.flights.lock().unwrap().is_empty());
     }
 
     #[test]

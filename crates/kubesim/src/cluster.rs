@@ -25,6 +25,8 @@
 //! model and stores no pod `status`: a pod's status is built when it is
 //! read, so no reconcile rebuilds or restamps one.
 
+use std::borrow::Borrow;
+use std::cmp::Ordering;
 use std::collections::btree_map::Entry as Slot;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt::{self, Write as _};
@@ -711,8 +713,9 @@ impl Cluster {
         kind: &'a str,
         namespace: Option<&'a str>,
     ) -> impl Iterator<Item = (&'a ResourceKey, &'a Entry)> + 'a {
+        let bounds = kind_bounds(kind, namespace);
         self.resources
-            .range(self.kind_bounds(kind, namespace))
+            .range::<dyn KeyView, _>(store_range(&bounds, self.full_scan()))
             .filter(move |(k, _)| in_kind(k, kind, namespace))
     }
 
@@ -728,20 +731,6 @@ impl Cluster {
         self.of_kind(kind, None)
             .map(|(_, e)| e.resource.clone())
             .collect()
-    }
-
-    /// The store range holding the objects of `kind` (in `namespace` when
-    /// given): [`index_bounds`], or the whole store in the full-scan
-    /// oracle.
-    fn kind_bounds(
-        &self,
-        kind: &str,
-        namespace: Option<&str>,
-    ) -> (Bound<ResourceKey>, Bound<ResourceKey>) {
-        if self.full_scan() {
-            return (Bound::Unbounded, Bound::Unbounded);
-        }
-        index_bounds(kind, namespace)
     }
 
     /// Whether this is the full-scan oracle (test builds only).
@@ -1398,8 +1387,13 @@ impl Cluster {
         let now = self.now_ms;
         #[cfg(test)]
         let (rebuild_all, node_ip) = (self.full_scan(), self.node_ip().to_owned());
-        let bounds = self.kind_bounds("Pod", None);
-        for entry in self.resources.range_mut(bounds).map(|(_, e)| e) {
+        let bounds = kind_bounds("Pod", None);
+        let range = store_range(&bounds, self.full_scan());
+        for entry in self
+            .resources
+            .range_mut::<dyn KeyView, _>(range)
+            .map(|(_, e)| e)
+        {
             let Some(runtime) = &mut entry.runtime else {
                 continue;
             };
@@ -1832,9 +1826,10 @@ impl Cluster {
             })
             .collect();
         for (kind, namespace) in ranges {
+            let bounds = kind_bounds(kind, namespace);
             let ranged: Vec<&ResourceKey> = self
                 .resources
-                .range(index_bounds(kind, namespace))
+                .range::<dyn KeyView, _>(store_range(&bounds, false))
                 .map(|(k, _)| k)
                 .collect();
             let scanned: Vec<&ResourceKey> = self
@@ -2002,26 +1997,86 @@ fn unindex(index: &mut OwnerIndex, key: &ResourceKey, owners: &[ResourceKey]) {
     }
 }
 
-/// The store range of the objects of `kind` (in `namespace` when given).
-/// Appending `"\0"` to a string gives its successor in the store's byte
-/// order, so the exclusive upper bound stops right after the last key of
-/// the range.
-fn index_bounds(kind: &str, namespace: Option<&str>) -> (Bound<ResourceKey>, Bound<ResourceKey>) {
-    let key = |kind: &str, namespace: &str| ResourceKey {
-        kind: kind.to_owned(),
-        namespace: namespace.to_owned(),
-        name: String::new(),
-    };
-    match namespace {
-        Some(ns) => (
-            Bound::Included(key(kind, ns)),
-            Bound::Excluded(key(kind, &format!("{ns}\0"))),
-        ),
-        None => (
-            Bound::Included(key(kind, "")),
-            Bound::Excluded(key(&format!("{kind}\0"), "")),
-        ),
+/// One field of a store position: a string, or past every string.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Part<'a> {
+    Str(&'a str),
+    Last,
+}
+
+/// A borrowed store position, `[kind, namespace, name]` in the store's
+/// order. [`ResourceKey`] borrows as one, so a kind range is searched
+/// with bounds that borrow the kind instead of owning copies of it.
+trait KeyView {
+    fn position(&self) -> [Part<'_>; 3];
+}
+
+impl KeyView for ResourceKey {
+    fn position(&self) -> [Part<'_>; 3] {
+        [
+            Part::Str(&self.kind),
+            Part::Str(&self.namespace),
+            Part::Str(&self.name),
+        ]
     }
+}
+
+impl KeyView for [Part<'_>; 3] {
+    fn position(&self) -> [Part<'_>; 3] {
+        *self
+    }
+}
+
+impl<'a> Borrow<dyn KeyView + 'a> for ResourceKey {
+    fn borrow(&self) -> &(dyn KeyView + 'a) {
+        self
+    }
+}
+
+impl PartialEq for dyn KeyView + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.position() == other.position()
+    }
+}
+
+impl Eq for dyn KeyView + '_ {}
+
+impl PartialOrd for dyn KeyView + '_ {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for dyn KeyView + '_ {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.position().cmp(&other.position())
+    }
+}
+
+/// The first and the past-the-last store positions of the objects of
+/// `kind` (in `namespace` when given).
+fn kind_bounds<'k>(kind: &'k str, namespace: Option<&'k str>) -> [[Part<'k>; 3]; 2] {
+    match namespace {
+        Some(ns) => [
+            [Part::Str(kind), Part::Str(ns), Part::Str("")],
+            [Part::Str(kind), Part::Str(ns), Part::Last],
+        ],
+        None => [
+            [Part::Str(kind), Part::Str(""), Part::Str("")],
+            [Part::Str(kind), Part::Last, Part::Last],
+        ],
+    }
+}
+
+/// `bounds` as a store range, or the whole store in the full-scan oracle.
+fn store_range<'b>(
+    bounds: &'b [[Part<'_>; 3]; 2],
+    full_scan: bool,
+) -> (Bound<&'b dyn KeyView>, Bound<&'b dyn KeyView>) {
+    if full_scan {
+        return (Bound::Unbounded, Bound::Unbounded);
+    }
+    (Bound::Included(&bounds[0]), Bound::Excluded(&bounds[1]))
 }
 
 /// Whether `key` is of `kind` (and in `namespace` when given).

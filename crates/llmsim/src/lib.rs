@@ -59,13 +59,63 @@ pub use repair::{
     parse_repair_prompt, repair_prompt, repair_query, synthesize_feedback, FeedbackMode,
 };
 
+use yamlkit::PreparedDoc;
+
 /// Classifies an extracted answer into Figure 7's six categories, given
 /// the unit-test verdict. This is the analysis-side mirror of the
 /// generation-side [`AnswerCategory`].
+///
+/// The text form parses both YAML texts itself; it is the oracle
+/// [`classify_prepared`] must agree with.
 pub fn classify_answer(
     extracted_yaml: &str,
     reference: &str,
     passed_unit_test: bool,
+) -> AnswerCategory {
+    classify(extracted_yaml, reference, passed_unit_test, || {
+        let first_kind = |docs: &[yamlkit::Node]| {
+            docs.first()
+                .map(|n| n.to_value())
+                .and_then(|v| v.get("kind").map(yamlkit::Yaml::render_scalar))
+        };
+        let docs = yamlkit::parse(extracted_yaml).ok()?;
+        if docs.is_empty() {
+            return None;
+        }
+        let want = yamlkit::parse(reference).ok().and_then(|d| first_kind(&d));
+        Some((want, first_kind(&docs)))
+    })
+}
+
+/// [`classify_answer`] over parse-once documents: the candidate's parse
+/// state and first document's `kind` come from `candidate`'s own parse,
+/// and the reference's `kind` from `reference` (the label-stripped
+/// reference, e.g. `cescore::PreparedRef::clean_doc`), so neither text is
+/// parsed again. Returns the same class as [`classify_answer`] over the
+/// two texts.
+pub fn classify_prepared(
+    candidate: &PreparedDoc,
+    reference: &PreparedDoc,
+    passed_unit_test: bool,
+) -> AnswerCategory {
+    classify(candidate.text(), reference.text(), passed_unit_test, || {
+        if candidate.doc_count() == 0 {
+            return None;
+        }
+        let kind = |doc: &PreparedDoc| doc.first_doc_field("kind").map(|v| v.render_scalar());
+        Some((kind(reference), kind(candidate)))
+    })
+}
+
+/// The Figure 7 decision list over the two texts. `kinds` runs only once
+/// the text checks pass: `None` when the candidate does not parse to at
+/// least one document, else the first-document `kind`s of the reference
+/// and the candidate.
+fn classify(
+    extracted_yaml: &str,
+    reference: &str,
+    passed_unit_test: bool,
+    kinds: impl FnOnce() -> Option<(Option<String>, Option<String>)>,
 ) -> AnswerCategory {
     if passed_unit_test {
         return AnswerCategory::Correct;
@@ -84,20 +134,9 @@ pub fn classify_answer(
     if !extracted_yaml.contains(key_field) {
         return AnswerCategory::NoKind;
     }
-    let Ok(docs) = yamlkit::parse(extracted_yaml) else {
+    let Some((ref_kind, got_kind)) = kinds() else {
         return AnswerCategory::IncompleteYaml;
     };
-    if docs.is_empty() {
-        return AnswerCategory::IncompleteYaml;
-    }
-    let ref_kind = yamlkit::parse(reference)
-        .ok()
-        .and_then(|d| d.first().map(|n| n.to_value()))
-        .and_then(|v| v.get("kind").map(yamlkit::Yaml::render_scalar));
-    let got_kind = docs
-        .first()
-        .map(|n| n.to_value())
-        .and_then(|v| v.get("kind").map(yamlkit::Yaml::render_scalar));
     match (ref_kind, got_kind) {
         (Some(want), Some(got)) if want != got => AnswerCategory::WrongKind,
         (Some(_), None) => AnswerCategory::NoKind,
@@ -143,6 +182,43 @@ mod tests {
             AnswerCategory::FailsTest
         );
         assert_eq!(classify_answer(REF, REF, true), AnswerCategory::Correct);
+    }
+
+    #[test]
+    fn prepared_classifier_matches_the_text_classifier() {
+        let envoy_ref = "static_resources:\n  listeners: []\n";
+        let cases = [
+            ("", REF),
+            ("one\ntwo", REF),
+            ("line\nline\nline\nprose without the field", REF),
+            ("kind: Pod\nbroken: [\nmore\n", REF),
+            ("apiVersion: v1\nkind: Service\nmetadata:\n  name: y\n", REF),
+            ("apiVersion: v1\nkind: Pod\nmetadata:\n  name: other\n", REF),
+            ("apiVersion: v1\nmetadata:\n  name: y\nkinds: 1\n", REF),
+            ("# kind: Pod\n# a\n# b\n", REF),
+            ("- kind: Pod\n- b\n- c\n", REF),
+            ("kind: [Pod]\na: 1\nb: 2\n", REF),
+            ("kind: Pod\n---\nkind: Service\nx: 1\n", REF),
+            ("a\nb\nc\nd: 1\ne: 2\n", envoy_ref),
+            (
+                "static_resources:\n  listeners: []\n  clusters: []\n",
+                envoy_ref,
+            ),
+            (REF, "not: [yaml\nkind: Pod\n"),
+        ];
+        for (candidate, reference) in cases {
+            for passed in [false, true] {
+                assert_eq!(
+                    classify_prepared(
+                        &PreparedDoc::new(candidate),
+                        &PreparedDoc::new(reference),
+                        passed
+                    ),
+                    classify_answer(candidate, reference, passed),
+                    "{candidate:?} against {reference:?}"
+                );
+            }
+        }
     }
 
     #[test]

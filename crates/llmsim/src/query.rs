@@ -90,10 +90,9 @@ impl StreamReport {
 /// each `(prompt_index, response)` the moment it completes instead of
 /// materializing the whole batch.
 ///
-/// This is the streaming entry point the harness's judge engine consumes:
-/// downstream stages (YAML extraction, static scoring, unit-test
-/// execution) start on record 0 while record 1 is still generating.
-/// `emit` is called from the worker threads, concurrently and in
+/// A consumer can start downstream work (YAML extraction, static
+/// scoring, unit-test execution) on record 0 while record 1 is still
+/// generating. `emit` is called from the worker threads, concurrently and in
 /// completion order — pair each response with its index if ordering
 /// matters downstream. The latency model (waves of `parallelism`
 /// requests, optional rate-limit ceiling) is identical to

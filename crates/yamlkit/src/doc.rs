@@ -24,7 +24,7 @@
 
 use std::sync::{Arc, OnceLock};
 
-use crate::arena::{parse_arena, ArenaParts};
+use crate::arena::{parse_arena, ArenaKind, ArenaParts};
 use crate::intern::{fnv1a, StrInterner, Sym};
 use crate::labels::MatchTree;
 use crate::parser::{Node, ParseYamlError};
@@ -283,6 +283,28 @@ impl PreparedDoc {
                     .collect(),
             )
         })
+    }
+
+    /// Number of documents in the stream; 0 when the text did not parse
+    /// or holds no document (empty, or comments only).
+    pub fn doc_count(&self) -> usize {
+        self.arena.roots.len()
+    }
+
+    /// The value under `key` in the first document's top-level mapping
+    /// (first occurrence, like [`Yaml::get`]), materialized straight from
+    /// the arena without building the rest of the tree. `None` when the
+    /// stream is empty, the first document is not a mapping, or the key
+    /// is absent.
+    pub fn first_doc_field(&self, key: &str) -> Option<Yaml> {
+        let &root = self.arena.roots.first()?;
+        let ArenaKind::Map { start, len } = self.arena.nodes[root as usize].kind else {
+            return None;
+        };
+        self.arena.map_entries[start as usize..(start + len) as usize]
+            .iter()
+            .find(|&&(k, _)| self.arena.interner.resolve(k) == key)
+            .map(|&(_, value)| self.arena.node_to_value(value))
     }
 
     /// The values behind their shared allocation — hand this to another
