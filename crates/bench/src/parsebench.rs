@@ -20,7 +20,7 @@ fn corpus() -> Vec<String> {
     let ds = cedataset::Dataset::generate();
     ds.problems()
         .iter()
-        .flat_map(|p| [p.labeled_reference.clone(), p.clean_reference()])
+        .flat_map(|p| [p.labeled_reference.clone(), p.clean_reference().to_owned()])
         .collect()
 }
 
@@ -109,7 +109,7 @@ pub fn score_report() -> String {
             let base = p.clean_reference();
             let candidates = (0..K)
                 .map(|k| match k % 4 {
-                    0 => base.clone(),
+                    0 => base.to_owned(),
                     1 => base.replace("latest", "1.25"),
                     2 => format!("{base}extra-{k}: {k}\n"),
                     _ => base.replace("name:", "name: variant-"),

@@ -156,8 +156,7 @@ mod tests {
             let parsed = yamlkit::parse(&p.labeled_reference);
             assert!(parsed.is_ok(), "{}: {:?}", p.id, parsed.err());
             // And it round-trips through the wildcard-match tree at 1.0.
-            let clean = p.clean_reference();
-            let score = cescore::kv_wildcard_match(&p.labeled_reference, &clean);
+            let score = cescore::kv_wildcard_match(&p.labeled_reference, p.clean_reference());
             assert!(
                 (score - 1.0).abs() < 1e-9,
                 "{}: reference does not match itself: {score}",
@@ -167,13 +166,40 @@ mod tests {
     }
 
     #[test]
+    fn derived_artefacts_match_their_texts() {
+        let values = |text: &str| -> Vec<yamlkit::Yaml> {
+            yamlkit::parse(text)
+                .expect("reference parses")
+                .iter()
+                .map(yamlkit::Node::to_value)
+                .collect()
+        };
+        for p in Dataset::generate_extended(30).problems() {
+            let clean = cescore::strip_label_comments(&p.labeled_reference);
+            assert_eq!(p.clean_reference(), clean, "{}", p.id);
+            assert_eq!(p.reference_tree(), values(&p.labeled_reference), "{}", p.id);
+            assert_eq!(p.reference_tree(), values(&clean), "{}", p.id);
+            assert_eq!(p.reference_lines(), clean.lines().count(), "{}", p.id);
+            for v in Variant::ALL {
+                let tokens = crate::stats::token_count(p.description_for(v));
+                assert_eq!(p.description_tokens(v), tokens, "{} {v:?}", p.id);
+            }
+        }
+    }
+
+    #[test]
     fn descriptions_are_nonempty_and_variants_differ() {
         let ds = Dataset::generate();
         for p in ds.problems() {
-            assert!(!p.description.is_empty(), "{}", p.id);
-            assert!(!p.simplified.is_empty(), "{}", p.id);
+            assert!(!p.description_for(Variant::Original).is_empty(), "{}", p.id);
             assert!(
-                p.translated.contains('。') || p.translated.contains('写'),
+                !p.description_for(Variant::Simplified).is_empty(),
+                "{}",
+                p.id
+            );
+            assert!(
+                p.description_for(Variant::Translated).contains('。')
+                    || p.description_for(Variant::Translated).contains('写'),
                 "{}",
                 p.id
             );

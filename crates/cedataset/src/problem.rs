@@ -1,6 +1,10 @@
 //! The problem schema (§2.1): prompt template + NL description + optional
 //! YAML context + labeled reference YAML + bash unit test.
 
+use yamlkit::Yaml;
+
+use crate::stats::token_count;
+
 /// Application category, matching Table 2's columns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Category {
@@ -98,6 +102,12 @@ impl Variant {
 }
 
 /// One benchmark problem.
+///
+/// Besides its generated texts, a problem carries the artefacts that
+/// depend on nothing but those texts, derived once by [`Problem::new`]:
+/// the reference's value tree, its label-stripped text and line count,
+/// and the token count of each variant's description. Every generation,
+/// calibration and record assembly reads them instead of re-deriving them.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Problem {
     /// Stable identifier, e.g. `pod-007`.
@@ -105,21 +115,67 @@ pub struct Problem {
     /// Application category.
     pub category: Category,
     /// Original English problem description.
-    pub description: String,
+    description: String,
     /// Optional YAML context shown with the question (§2.1: infilling /
     /// modification / extension problems).
     pub context_yaml: Option<String>,
     /// Reference solution with `# *` / `# v in [...]` match labels.
+    ///
+    /// Public for reading: the benchmark crate outside this workspace
+    /// reads it as a field. The derived artefacts below are computed from
+    /// it once, by [`Problem::new`]; editing it afterwards does not update
+    /// them, so build a new problem instead.
     pub labeled_reference: String,
     /// Bash unit-test script; echoes `unit_test_passed` on success.
     pub unit_test: String,
     /// Pre-computed simplified description (manually-reviewed-equivalent).
-    pub simplified: String,
+    simplified: String,
     /// Pre-computed translated description.
-    pub translated: String,
+    translated: String,
+    /// Values of the reference's documents (labels are comments, so the
+    /// labeled and the clean text parse to the same tree); empty when the
+    /// reference does not parse.
+    reference_tree: Vec<Yaml>,
+    /// `cescore::strip_label_comments(labeled_reference)`.
+    clean_reference: String,
+    reference_lines: usize,
+    /// [`token_count`] of each variant's description, in `Variant::ALL`
+    /// order.
+    description_tokens: [usize; 3],
 }
 
 impl Problem {
+    /// A problem from its texts; `descriptions` are the original,
+    /// simplified and translated question, in [`Variant::ALL`] order.
+    /// Parses `labeled_reference` once to derive the reference artefacts.
+    pub fn new(
+        id: String,
+        category: Category,
+        descriptions: [String; 3],
+        context_yaml: Option<String>,
+        labeled_reference: String,
+        unit_test: String,
+    ) -> Problem {
+        let (reference_tree, clean_reference) = cescore::parse_and_strip_labels(&labeled_reference);
+        let reference_lines = clean_reference.lines().count();
+        let description_tokens = descriptions.each_ref().map(|d| token_count(d));
+        let [description, simplified, translated] = descriptions;
+        Problem {
+            id,
+            category,
+            description,
+            context_yaml,
+            labeled_reference,
+            unit_test,
+            simplified,
+            translated,
+            reference_tree,
+            clean_reference,
+            reference_lines,
+            description_tokens,
+        }
+    }
+
     /// The description text for a dataset variant.
     pub fn description_for(&self, variant: Variant) -> &str {
         match variant {
@@ -127,6 +183,12 @@ impl Problem {
             Variant::Simplified => &self.simplified,
             Variant::Translated => &self.translated,
         }
+    }
+
+    /// [`token_count`] of [`Problem::description_for`] `variant`.
+    pub fn description_tokens(&self, variant: Variant) -> usize {
+        // `variant as usize` is the variant's position in `Variant::ALL`.
+        self.description_tokens[variant as usize]
     }
 
     /// The full prompt body (description plus fenced YAML context), before
@@ -143,8 +205,14 @@ impl Problem {
 
     /// Reference solution with the grading labels stripped — what a
     /// perfect answer looks like.
-    pub fn clean_reference(&self) -> String {
-        cescore::strip_label_comments(&self.labeled_reference)
+    pub fn clean_reference(&self) -> &str {
+        &self.clean_reference
+    }
+
+    /// The values of the reference's documents, in order; empty when the
+    /// reference does not parse.
+    pub fn reference_tree(&self) -> &[Yaml] {
+        &self.reference_tree
     }
 
     /// Whether the question ships a YAML context (Figure 6's "Code
@@ -155,7 +223,7 @@ impl Problem {
 
     /// Lines in the reference solution (Figure 6's length buckets).
     pub fn reference_lines(&self) -> usize {
-        self.clean_reference().lines().count()
+        self.reference_lines
     }
 }
 
@@ -164,16 +232,14 @@ mod tests {
     use super::*;
 
     fn sample() -> Problem {
-        Problem {
-            id: "pod-000".into(),
-            category: Category::Pod,
-            description: "Write a pod.".into(),
-            context_yaml: Some("kind: Pod\n".into()),
-            labeled_reference: "kind: Pod\nmetadata:\n  name: x # *\n".into(),
-            unit_test: "echo unit_test_passed".into(),
-            simplified: "pod pls".into(),
-            translated: "写一个 pod".into(),
-        }
+        Problem::new(
+            "pod-000".into(),
+            Category::Pod,
+            ["Write a pod.".into(), "pod pls".into(), "写一个 pod".into()],
+            Some("kind: Pod\n".into()),
+            "kind: Pod\nmetadata:\n  name: x # *\n".into(),
+            "echo unit_test_passed".into(),
+        )
     }
 
     #[test]

@@ -47,11 +47,14 @@ pub fn category_stats(dataset: &Dataset) -> Vec<CategoryStats> {
 
 fn stats_for(category: Category, problems: &[&Problem]) -> CategoryStats {
     let n = problems.len().max(1) as f64;
-    let words: usize = problems.iter().map(|p| word_count(&p.description)).sum();
+    let words: usize = problems
+        .iter()
+        .map(|p| word_count(p.description_for(Variant::Original)))
+        .sum();
     let sol_lines: usize = problems.iter().map(|p| p.reference_lines()).sum();
     let sol_tokens: Vec<usize> = problems
         .iter()
-        .map(|p| token_count(&p.clean_reference()))
+        .map(|p| token_count(p.clean_reference()))
         .collect();
     let test_lines: usize = problems
         .iter()

@@ -37,16 +37,14 @@ pub(crate) fn finish_problem(
 ) -> Problem {
     let simplified = augment::simplify(&description);
     let translated = augment::translate(&description);
-    Problem {
+    Problem::new(
         id,
         category,
-        description,
+        [description, simplified, translated],
         context_yaml,
         labeled_reference,
         unit_test,
-        simplified,
-        translated,
-    }
+    )
 }
 
 // ---------------------------------------------------------------------

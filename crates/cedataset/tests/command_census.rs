@@ -1,12 +1,13 @@
 //! Static census of what the dataset's unit tests run.
 //!
 //! Every distinct unit-test script is parsed with `minishell::lang` and
-//! its AST walked, recursing into `$(…)` bodies and into the command that
-//! `timeout` runs after its options. The walk yields the shell commands
-//! and the kubectl verbs the scripts can reach on any branch. Both sets
-//! are pinned here, so a new template that needs a command minishell or
-//! kubesim lacks fails this test, and a command dropped from the
-//! simulators while a script still names it fails the dispatch check.
+//! its AST walked, recursing into `$(…)` bodies (arithmetic ones too) and
+//! into the command that `timeout` runs after its options. The walk
+//! yields the shell commands and the kubectl verbs the scripts can reach
+//! on any branch. Both sets are pinned here, so a new template that needs
+//! a command minishell or kubesim lacks fails this test, and a command
+//! dropped from the simulators while a script still names it fails the
+//! dispatch check.
 //! Which branches actually run is pinned elsewhere, by the verdict digest
 //! over the full grid.
 
@@ -110,8 +111,9 @@ impl Census {
                 self.list(cond);
                 self.list(body);
             }
-            Cmd::Arith(_) => {
+            Cmd::Arith(expr) => {
                 self.shell.insert("((".to_owned());
+                self.substitutions(expr);
             }
             Cmd::Cond(words) => {
                 self.shell.insert("[[".to_owned());
@@ -125,8 +127,13 @@ impl Census {
 
     fn substitutions(&mut self, word: &Word) {
         for seg in &word.segs {
-            if let Seg::CmdSub { script, .. } = seg {
-                self.script(script);
+            match seg {
+                Seg::CmdSub { body, .. } => {
+                    let prog = body.as_ref().unwrap_or_else(|e| panic!("{e} in $(…)"));
+                    self.list(prog);
+                }
+                Seg::Arith { expr } => self.substitutions(expr),
+                Seg::Lit { .. } | Seg::Var { .. } => {}
             }
         }
     }

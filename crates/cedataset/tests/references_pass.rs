@@ -12,7 +12,7 @@ fn every_unit_test_passes_on_its_reference() {
     let mut failures = Vec::new();
     for p in ds.problems() {
         let reference = p.clean_reference();
-        match minishell::run_unit_test(&p.unit_test, &reference) {
+        match minishell::run_unit_test(&p.unit_test, reference) {
             Ok(outcome) if outcome.combined.contains("unit_test_passed") => {}
             Ok(outcome) => failures.push(format!(
                 "{}: test did not pass\n--- transcript ---\n{}",
@@ -36,7 +36,7 @@ fn extended_scenario_references_pass_their_unit_tests() {
     let mut failures = Vec::new();
     for p in ds.problems().iter().filter(|p| p.id.starts_with("scn-")) {
         let reference = p.clean_reference();
-        match minishell::run_unit_test(&p.unit_test, &reference) {
+        match minishell::run_unit_test(&p.unit_test, reference) {
             Ok(outcome) if outcome.combined.contains("unit_test_passed") => {}
             Ok(outcome) => failures.push(format!(
                 "{}: test did not pass\n--- transcript ---\n{}",

@@ -170,13 +170,21 @@ pub fn score_pair_text(labeled_reference: &str, candidate: &str) -> Scores {
 /// Removes `# ...` trailing comments (the reference labels) from YAML text,
 /// leaving block-scalar bodies untouched.
 pub fn strip_label_comments(labeled: &str) -> String {
+    parse_and_strip_labels(labeled).1
+}
+
+/// [`strip_label_comments`] together with the values it emits: the
+/// documents of `labeled` (labels are comments, so they leave no trace in
+/// the values) and their emitted text. Text that does not parse gives no
+/// values and is returned as it is, so text metrics still work.
+pub fn parse_and_strip_labels(labeled: &str) -> (Vec<yamlkit::Yaml>, String) {
     match yamlkit::parse(labeled) {
         Ok(docs) => {
             let values: Vec<yamlkit::Yaml> = docs.iter().map(yamlkit::Node::to_value).collect();
-            yamlkit::emit_all(&values)
+            let text = yamlkit::emit_all(&values);
+            (values, text)
         }
-        // Not parseable: fall back to raw text so text metrics still work.
-        Err(_) => labeled.to_owned(),
+        Err(_) => (Vec::new(), labeled.to_owned()),
     }
 }
 

@@ -201,16 +201,12 @@ fn judged(mut scores: Scores, passed: bool) -> Scores {
 }
 
 /// Assembles the final record for one coordinate — shared verbatim by
-/// both grid drivers so their outputs stay bit-identical. `clean_reference`
-/// is the label-stripped reference: the barriered driver computes it per
-/// record (the seed behavior), the streamed driver reads it off the
-/// session's [`cescore::PreparedRef`] — the strings are identical by
-/// construction, and so are the two classifiers' answers.
+/// both grid drivers so their outputs stay bit-identical. The reference
+/// length and question size are the problem's stored counts.
 fn assemble_record(
     model_name: &str,
     problem: &Problem,
     variant: Variant,
-    clean_reference: &str,
     yaml: String,
     scores: Scores,
     answer_class: AnswerCategory,
@@ -221,8 +217,8 @@ fn assemble_record(
         variant,
         category: problem.category,
         has_context: problem.has_context(),
-        reference_lines: clean_reference.lines().count(),
-        question_tokens: cedataset::stats::token_count(problem.description_for(variant)),
+        reference_lines: problem.reference_lines(),
+        question_tokens: problem.description_tokens(variant),
         extracted: yaml,
         scores,
         answer_class,
@@ -379,7 +375,6 @@ pub fn evaluate(
             model.name(),
             problem,
             variant,
-            reference.clean_text(),
             doc.text().to_owned(),
             judged(scores, verdict.passed),
             llmsim::classify_prepared(&doc, reference.clean_doc(), verdict.passed),
@@ -427,13 +422,12 @@ pub fn evaluate_barriered(
         .zip(report.results)
         .map(|(((problem, variant), yaml), job_result)| {
             let scores = cescore::score_pair_text(&problem.labeled_reference, &yaml);
-            let clean_reference = problem.clean_reference();
-            let answer_class = llmsim::classify_answer(&yaml, &clean_reference, job_result.passed);
+            let answer_class =
+                llmsim::classify_answer(&yaml, problem.clean_reference(), job_result.passed);
             assemble_record(
                 model.name(),
                 problem,
                 variant,
-                &clean_reference,
                 yaml,
                 judged(scores, job_result.passed),
                 answer_class,

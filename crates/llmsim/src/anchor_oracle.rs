@@ -119,7 +119,7 @@ fn short_empty_and_unknown_prompts_match_the_scan() {
     assert_eq!(check(index, problems, ""), None);
     assert_eq!(check(index, problems, "What is the weather like?"), None);
     assert_eq!(check(index, problems, "Example question:\nhi"), None);
-    let d = problems[0].description.as_str();
+    let d = problems[0].description_for(Variant::Original);
     let mut cut = m - 1;
     while !d.is_char_boundary(cut) {
         cut -= 1;
@@ -129,16 +129,14 @@ fn short_empty_and_unknown_prompts_match_the_scan() {
 
 /// A problem whose three descriptions are given; other fields are filler.
 fn problem(id: &str, description: &str, simplified: &str, translated: &str) -> Problem {
-    Problem {
-        id: id.to_owned(),
-        category: Category::Pod,
-        description: description.to_owned(),
-        context_yaml: None,
-        labeled_reference: "apiVersion: v1\nkind: Pod\n".to_owned(),
-        unit_test: "echo unit_test_passed".to_owned(),
-        simplified: simplified.to_owned(),
-        translated: translated.to_owned(),
-    }
+    Problem::new(
+        id.to_owned(),
+        Category::Pod,
+        [description, simplified, translated].map(str::to_owned),
+        None,
+        "apiVersion: v1\nkind: Pod\n".to_owned(),
+        "echo unit_test_passed".to_owned(),
+    )
 }
 
 #[test]

@@ -106,8 +106,7 @@ fn prose_answer(problem: &Problem, rng: &mut StdRng) -> String {
 }
 
 fn incomplete_yaml(problem: &Problem, rng: &mut StdRng) -> String {
-    let reference = problem.clean_reference();
-    let lines: Vec<&str> = reference.lines().collect();
+    let lines: Vec<&str> = problem.clean_reference().lines().collect();
     // Keep the head (always including the kind line), then break the
     // document with an unterminated flow collection.
     let kind_idx = lines
@@ -122,11 +121,7 @@ fn incomplete_yaml(problem: &Problem, rng: &mut StdRng) -> String {
 
 fn wrong_kind(problem: &Problem, rng: &mut StdRng) -> String {
     let reference = problem.clean_reference();
-    let actual_kind = yamlkit::parse(&reference)
-        .ok()
-        .and_then(|docs| docs.first().map(|d| d.to_value()))
-        .and_then(|v| v.get("kind").map(Yaml::render_scalar))
-        .unwrap_or_else(|| "Pod".to_owned());
+    let actual_kind = crate::reference_kind(problem).unwrap_or_else(|| "Pod".to_owned());
     let replacements = [
         "Pod",
         "Deployment",
@@ -161,11 +156,10 @@ fn wrong_kind(problem: &Problem, rng: &mut StdRng) -> String {
 /// selectors, images, ports, values — so a category-5 answer reliably
 /// fails its unit test (the calibration in `difficulty` depends on this).
 fn corrupted_reference(problem: &Problem, rng: &mut StdRng) -> String {
-    let reference = problem.clean_reference();
-    let Ok(docs) = yamlkit::parse(&reference) else {
-        return reference;
-    };
-    let mut values: Vec<Yaml> = docs.iter().map(yamlkit::Node::to_value).collect();
+    if problem.reference_tree().is_empty() {
+        return problem.clean_reference().to_owned();
+    }
+    let mut values = problem.reference_tree().to_vec();
     let mut any_changed = false;
     for doc in &mut values {
         let mut paths = Vec::new();
@@ -278,15 +272,11 @@ fn corrupted_reference(problem: &Problem, rng: &mut StdRng) -> String {
 /// identical to the reference, mirroring Table 4's gap between the exact-
 /// match and unit-test columns.
 fn correct_answer(problem: &Problem, rng: &mut StdRng) -> String {
-    let reference = problem.clean_reference();
     let style = rng.gen_range(0..10);
-    if style < 2 {
-        return reference; // verbatim
+    if style < 2 || problem.reference_tree().is_empty() {
+        return problem.clean_reference().to_owned(); // verbatim
     }
-    let Ok(docs) = yamlkit::parse(&problem.labeled_reference) else {
-        return reference;
-    };
-    let mut values: Vec<Yaml> = docs.iter().map(yamlkit::Node::to_value).collect();
+    let mut values = problem.reference_tree().to_vec();
     if style < 5 {
         // Reorder mapping keys (kv-exact still passes; exact match fails).
         for v in &mut values {
@@ -311,7 +301,10 @@ fn correct_answer(problem: &Problem, rng: &mut StdRng) -> String {
             }
         }
     } else {
-        // Rename wildcard-labeled scalars — semantically free fields.
+        // Rename wildcard-labeled scalars — semantically free fields. The
+        // labels live in the parse's comments, which the tree drops.
+        let docs = yamlkit::parse(&problem.labeled_reference)
+            .expect("a non-empty reference tree comes from a successful parse");
         for (value, node) in values.iter_mut().zip(&docs) {
             let tree = MatchTree::from_node(node);
             rename_wildcards(value, &tree, rng);
@@ -463,7 +456,7 @@ mod tests {
     #[test]
     fn fails_test_answers_are_valid_yaml_with_right_kind() {
         let p = first_problem();
-        let expected_kind = yamlkit::parse_one(&p.clean_reference())
+        let expected_kind = yamlkit::parse_one(p.clean_reference())
             .unwrap()
             .to_value()
             .get("kind")

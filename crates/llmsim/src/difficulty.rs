@@ -8,7 +8,7 @@
 //! `σ(α − β·difficulty)`; α is solved by bisection so the expected pass
 //! count over the 337 problems equals the paper's Table 5 target exactly.
 
-use cedataset::{Category, Dataset, Problem};
+use cedataset::{Category, Dataset, Problem, Variant};
 
 use crate::profiles::{ModelProfile, Tier};
 
@@ -32,7 +32,10 @@ pub fn difficulty(problem: &Problem, tier: Tier) -> f64 {
     };
     // Longer questions carry more constraints but also more guidance; net
     // effect is mildly negative correlation (Figure 6 panel 4).
-    let words = problem.description.split_whitespace().count() as f64;
+    let words = problem
+        .description_for(Variant::Original)
+        .split_whitespace()
+        .count() as f64;
     let question_term = ((words - 40.0) / 400.0).clamp(0.0, 0.2);
     // Code context gives weaker models a template to copy (the paper's
     // observation that models ranked 7–10 do better with context).
@@ -110,7 +113,6 @@ pub fn calibrated_probabilities(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cedataset::Variant;
 
     #[test]
     fn calibration_hits_targets() {

@@ -107,6 +107,36 @@ pub fn classify_prepared(
     })
 }
 
+/// [`classify_answer`] of a candidate against a dataset problem, given the
+/// candidate's parse: the reference's text and `kind` are the problem's
+/// stored artefacts, so neither text is parsed here.
+fn classify_parsed(
+    extracted_yaml: &str,
+    parsed: Option<&[yamlkit::Node]>,
+    problem: &cedataset::Problem,
+    passed_unit_test: bool,
+) -> AnswerCategory {
+    classify(
+        extracted_yaml,
+        problem.clean_reference(),
+        passed_unit_test,
+        || {
+            let first = parsed.and_then(<[yamlkit::Node]>::first)?;
+            let kind = first
+                .to_value()
+                .get("kind")
+                .map(yamlkit::Yaml::render_scalar);
+            Some((reference_kind(problem), kind))
+        },
+    )
+}
+
+/// The `kind` of a problem's first reference document.
+fn reference_kind(problem: &cedataset::Problem) -> Option<String> {
+    let first = problem.reference_tree().first()?;
+    first.get("kind").map(yamlkit::Yaml::render_scalar)
+}
+
 /// The Figure 7 decision list over the two texts. `kinds` runs only once
 /// the text checks pass: `None` when the candidate does not parse to at
 /// least one document, else the first-document `kind`s of the reference

@@ -85,6 +85,8 @@ pub struct SimulatedModel {
     /// Recognizes the problem a prompt asks about; models over one
     /// dataset may share it.
     anchors: Arc<AnchorIndex>,
+    /// This model's `llm_generation_us{model=...}` series.
+    generation_us: obs::Histogram,
 }
 
 impl SimulatedModel {
@@ -123,12 +125,18 @@ impl SimulatedModel {
                 row_of[variant as usize * SHOT_COUNTS + shots] = row;
             }
         }
+        let generation_us = obs::global().histogram(
+            "llm_generation_us",
+            &[("model", profile.name)],
+            "wall-clock latency of one simulated-model generation",
+        );
         SimulatedModel {
             profile,
             dataset,
             pass_rows,
             row_of,
             anchors,
+            generation_us,
         }
     }
 
@@ -266,9 +274,8 @@ impl SimulatedModel {
         if variant == Variant::Translated && self.profile.passes_translated.is_none() {
             return "I'm sorry, I can only assist with requests in English at this time.\nPlease translate your question and try again.\nThank you for your understanding.\nRegards.".to_owned();
         }
-        let prior_parses = yamlkit::parse(&repair.prior)
-            .map(|docs| !docs.is_empty())
-            .unwrap_or(false);
+        let prior_docs = yamlkit::parse(&repair.prior).ok();
+        let prior_parses = prior_docs.as_ref().is_some_and(|docs| !docs.is_empty());
         let named = repair.named_bucket();
         let plausible = named.is_some_and(|b| (b == Bucket::YamlSyntax) != prior_parses);
         let p = if plausible {
@@ -303,7 +310,7 @@ impl SimulatedModel {
             // A failed repair is another attempt of the same answer class
             // the prior landed in — realized under a fresh seed, so the
             // next round sees a *different* broken candidate.
-            crate::classify_answer(&repair.prior, &problem.clean_reference(), false)
+            crate::classify_parsed(&repair.prior, prior_docs.as_deref(), problem, false)
         };
         realize(
             problem,
@@ -322,13 +329,7 @@ impl LanguageModel for SimulatedModel {
     fn generate(&self, prompt: &str, params: &GenParams) -> String {
         let started = std::time::Instant::now();
         let text = self.generate_text(prompt, params);
-        obs::global()
-            .histogram(
-                "llm_generation_us",
-                &[("model", self.profile.name)],
-                "wall-clock latency of one simulated-model generation",
-            )
-            .record(started.elapsed());
+        self.generation_us.record(started.elapsed());
         text
     }
 }

@@ -286,7 +286,7 @@ impl<'a> Interp<'a> {
                 Ok(Flow::Normal(status))
             }
             Cmd::Arith(expr) => {
-                let expanded = self.expand_arith_text(expr, out, err)?;
+                let expanded = self.expand_arith(expr, out, err)?;
                 match arith_eval(&expanded, &mut self.vars) {
                     Ok(v) => {
                         let status = i32::from(v == 0);
@@ -515,13 +515,17 @@ impl<'a> Interp<'a> {
                 };
                 (v, *quoted)
             }
-            Seg::CmdSub { script, quoted } => {
-                let captured = self.command_substitute(script, err)?;
-                let _ = out;
+            Seg::CmdSub { body, quoted } => {
+                let prog = body.as_ref().map_err(|e| ShellError(e.to_string()))?;
+                let mut captured = String::new();
+                self.last_status = match self.exec_list(prog, "", &mut captured, err)? {
+                    Flow::Normal(c) | Flow::Exit(c) => c,
+                    _ => 0,
+                };
                 (captured.trim_end_matches('\n').to_owned(), *quoted)
             }
             Seg::Arith { expr } => {
-                let expanded = self.expand_arith_text(expr, out, err)?;
+                let expanded = self.expand_arith(expr, out, err)?;
                 match arith_eval(&expanded, &mut self.vars) {
                     Ok(v) => (v.to_string(), false),
                     Err(e) => {
@@ -533,57 +537,23 @@ impl<'a> Interp<'a> {
         })
     }
 
-    /// Expands `$var` / `$(cmd)` occurrences inside an arithmetic source
-    /// string (bash expands before evaluating).
-    fn expand_arith_text(
+    /// An arithmetic expression's source with its `$(cmd)` and `$((…))`
+    /// pieces expanded (bash expands before evaluating).
+    fn expand_arith(
         &mut self,
-        expr: &str,
-        _out: &mut String,
+        expr: &Word,
+        out: &mut String,
         err: &mut String,
     ) -> Result<String, ShellError> {
-        if !expr.contains("$(") {
-            return Ok(expr.to_owned());
+        let mut s = String::new();
+        for seg in &expr.segs {
+            let (text, _) = self.expand_seg(seg, out, err)?;
+            s.push_str(match seg {
+                Seg::CmdSub { .. } => text.trim(),
+                _ => &text,
+            });
         }
-        let mut result = String::new();
-        let mut rest = expr;
-        while let Some(idx) = rest.find("$(") {
-            result.push_str(&rest[..idx]);
-            let after = &rest[idx + 2..];
-            let mut depth = 1;
-            let mut end = 0;
-            for (i, c) in after.char_indices() {
-                match c {
-                    '(' => depth += 1,
-                    ')' => {
-                        depth -= 1;
-                        if depth == 0 {
-                            end = i;
-                            break;
-                        }
-                    }
-                    _ => {}
-                }
-            }
-            let script = &after[..end];
-            let captured = self.command_substitute(script, err)?;
-            result.push_str(captured.trim());
-            rest = &after[end + 1..];
-        }
-        result.push_str(rest);
-        Ok(result)
-    }
-
-    fn command_substitute(&mut self, script: &str, err: &mut String) -> Result<String, ShellError> {
-        let prog = lang::parse(script).map_err(|e| ShellError(e.to_string()))?;
-        let mut sub_out = String::new();
-        let mut sub_err = String::new();
-        let flow = self.exec_list(&prog, "", &mut sub_out, &mut sub_err)?;
-        err.push_str(&sub_err);
-        self.last_status = match flow {
-            Flow::Normal(c) | Flow::Exit(c) => c,
-            _ => 0,
-        };
-        Ok(sub_out)
+        Ok(s)
     }
 
     fn var(&self, name: &str) -> String {

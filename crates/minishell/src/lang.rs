@@ -51,17 +51,18 @@ pub enum Seg {
         /// Inside double quotes?
         quoted: bool,
     },
-    /// `$(...)` or backticks; the raw script inside.
+    /// `$(...)` or backticks.
     CmdSub {
-        /// Unparsed script body.
-        script: String,
+        /// The parsed body, or its parse error, raised only when the
+        /// substitution is evaluated (as bash does).
+        body: Result<Vec<Cmd>, ParseShellError>,
         /// Inside double quotes?
         quoted: bool,
     },
     /// `$(( ... ))`.
     Arith {
-        /// Raw expression text.
-        expr: String,
+        /// The expression; see [`Cmd::Arith`].
+        expr: Word,
     },
 }
 
@@ -125,7 +126,7 @@ pub struct Redirect {
 }
 
 /// Commands (the AST's statement level).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Cmd {
     /// Assignments, argv words, redirections.
     Simple {
@@ -170,8 +171,10 @@ pub enum Cmd {
         /// Body list.
         body: Vec<Cmd>,
     },
-    /// `(( expr ))` — exit 0 when the expression is non-zero.
-    Arith(String),
+    /// `(( expr ))` — exit 0 when the expression is non-zero. The
+    /// expression is literal text except for its `$(…)` and `$((…))`
+    /// pieces, which are expanded before it is evaluated.
+    Arith(Word),
     /// `[[ ... ]]` — conditional expression, words kept raw.
     Cond(Vec<Word>),
     /// `break` / `continue`
@@ -184,7 +187,7 @@ enum Tok {
     Word(Word),
     Op(&'static str),
     Newline,
-    Arith(String),
+    Arith(Word),
     CondStart,
     CondEnd,
 }
@@ -235,7 +238,7 @@ fn lex(src: &str) -> Result<Vec<(Tok, usize)>, ParseShellError> {
             }
             '(' if chars.get(i + 1) == Some(&'(') => {
                 let (expr, consumed, newlines) = read_until_double_close(&chars[i + 2..], line)?;
-                toks.push((Tok::Arith(expr), line));
+                toks.push((Tok::Arith(arith_word(&expr)), line));
                 line += newlines;
                 i += 2 + consumed + 2;
             }
@@ -337,14 +340,6 @@ fn lex_word(chars: &[char], line: usize) -> Result<(Word, usize, usize), ParseSh
     let mut lit_quoted = false;
     let mut i = 0;
     let mut newlines = 0;
-    let flush = |lit: &mut String, quoted: bool, segs: &mut Vec<Seg>| {
-        if !lit.is_empty() {
-            segs.push(Seg::Lit {
-                text: std::mem::take(lit),
-                quoted,
-            });
-        }
-    };
     while i < chars.len() {
         let c = chars[i];
         match c {
@@ -401,7 +396,7 @@ fn lex_word(chars: &[char], line: usize) -> Result<(Word, usize, usize), ParseSh
                     });
                 }
                 segs.push(Seg::CmdSub {
-                    script: s,
+                    body: parse(&s),
                     quoted: false,
                 });
                 i = j + 1;
@@ -441,6 +436,16 @@ fn lex_word(chars: &[char], line: usize) -> Result<(Word, usize, usize), ParseSh
     Ok((Word { segs }, i, newlines))
 }
 
+/// Moves pending literal text, if any, into `segs`.
+fn flush(lit: &mut String, quoted: bool, segs: &mut Vec<Seg>) {
+    if !lit.is_empty() {
+        segs.push(Seg::Lit {
+            text: std::mem::take(lit),
+            quoted,
+        });
+    }
+}
+
 /// Lexes the inside of a double-quoted region up to the closing quote.
 fn lex_double_quoted(
     chars: &[char],
@@ -470,24 +475,14 @@ fn lex_double_quoted(
                 i += 2;
             }
             '$' => {
-                if !lit.is_empty() {
-                    segs.push(Seg::Lit {
-                        text: std::mem::take(&mut lit),
-                        quoted: true,
-                    });
-                }
+                flush(&mut lit, true, &mut segs);
                 let (seg, consumed, nl) = lex_dollar(&chars[i..], line, true)?;
                 segs.push(seg);
                 newlines += nl;
                 i += consumed;
             }
             '`' => {
-                if !lit.is_empty() {
-                    segs.push(Seg::Lit {
-                        text: std::mem::take(&mut lit),
-                        quoted: true,
-                    });
-                }
+                flush(&mut lit, true, &mut segs);
                 let mut j = i + 1;
                 let mut s = String::new();
                 while j < chars.len() && chars[j] != '`' {
@@ -495,7 +490,7 @@ fn lex_double_quoted(
                     j += 1;
                 }
                 segs.push(Seg::CmdSub {
-                    script: s,
+                    body: parse(&s),
                     quoted: true,
                 });
                 i = j + 1;
@@ -525,6 +520,7 @@ fn lex_dollar(
     match chars.get(1) {
         Some('(') if chars.get(2) == Some(&'(') => {
             let (expr, consumed, nl) = read_until_double_close(&chars[3..], line)?;
+            let expr = arith_word(&expr);
             Ok((Seg::Arith { expr }, 3 + consumed + 2, nl))
         }
         Some('(') => {
@@ -539,7 +535,8 @@ fn lex_dollar(
                     ')' => {
                         depth -= 1;
                         if depth == 0 {
-                            return Ok((Seg::CmdSub { script: s, quoted }, j + 1, nl));
+                            let body = parse(&s);
+                            return Ok((Seg::CmdSub { body, quoted }, j + 1, nl));
                         }
                     }
                     '\n' => nl += 1,
@@ -624,6 +621,28 @@ fn lex_dollar(
             0,
         )),
     }
+}
+
+/// Splits arithmetic source into literal text and its `$(…)` and `$((…))`
+/// pieces; an unterminated `$(` stays literal text.
+fn arith_word(expr: &str) -> Word {
+    let chars: Vec<char> = expr.chars().collect();
+    let (mut segs, mut lit, mut i) = (Vec::new(), String::new(), 0);
+    while i < chars.len() {
+        match (chars[i] == '$').then(|| lex_dollar(&chars[i..], 0, false)) {
+            Some(Ok((seg @ (Seg::CmdSub { .. } | Seg::Arith { .. }), consumed, _))) => {
+                flush(&mut lit, false, &mut segs);
+                segs.push(seg);
+                i += consumed;
+            }
+            _ => {
+                lit.push(chars[i]);
+                i += 1;
+            }
+        }
+    }
+    flush(&mut lit, false, &mut segs);
+    Word { segs }
 }
 
 /// Parses a script into a statement list.
@@ -1061,11 +1080,13 @@ mod tests {
     #[test]
     fn parses_arith_command_and_expansion() {
         let prog = parse("((passed_tests++))\nx=$((1 + 2))").unwrap();
-        assert!(matches!(&prog[0], Cmd::Arith(e) if e.trim() == "passed_tests++"));
+        assert_eq!(prog[0], Cmd::Arith(Word::lit("passed_tests++")));
         let Cmd::Simple { assignments, .. } = &prog[1] else {
             panic!()
         };
-        assert!(matches!(&assignments[0].1.segs[0], Seg::Arith { expr } if expr.trim() == "1 + 2"));
+        assert!(
+            matches!(&assignments[0].1.segs[0], Seg::Arith { expr } if *expr == Word::lit("1 + 2"))
+        );
     }
 
     #[test]

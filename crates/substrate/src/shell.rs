@@ -1,6 +1,7 @@
 //! The judge: CloudEval bash unit-test scripts interpreted by `minishell`
 //! against a fresh simulated cluster sandbox.
 
+use std::sync::OnceLock;
 use std::time::Instant;
 
 use minishell::{ClusterSandbox, Interp};
@@ -121,15 +122,18 @@ fn run_check(
     }
 }
 
-/// Records one judgment to `substrate_exec_us`. Handle resolution is
-/// idempotent and cheap next to running a unit-test script.
+/// Records one judgment to `substrate_exec_us`, through a handle resolved
+/// on the first judgment.
 fn record_exec(started: Instant) {
-    obs::global()
-        .histogram(
-            "substrate_exec_us",
-            &[("backend", "minishell")],
-            "wall-clock latency of one unit-test judgment",
-        )
+    static EXEC_US: OnceLock<obs::Histogram> = OnceLock::new();
+    EXEC_US
+        .get_or_init(|| {
+            obs::global().histogram(
+                "substrate_exec_us",
+                &[("backend", "minishell")],
+                "wall-clock latency of one unit-test judgment",
+            )
+        })
         .record(started.elapsed());
 }
 

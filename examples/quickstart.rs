@@ -19,7 +19,9 @@ fn main() {
     let problem = dataset.get("pod-000").expect("problem exists");
     println!(
         "== Problem {} ({:?}) ==\n{}\n",
-        problem.id, problem.category, problem.description
+        problem.id,
+        problem.category,
+        problem.description_for(Variant::Original)
     );
 
     // 2. Prompt assembly (Appendix B template, zero-shot).

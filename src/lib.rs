@@ -14,7 +14,7 @@
 //! let ds = Dataset::generate();
 //! let problem = &ds.problems()[0];
 //! let outcome =
-//!     cloudeval::shell::run_unit_test(&problem.unit_test, &problem.clean_reference()).unwrap();
+//!     cloudeval::shell::run_unit_test(&problem.unit_test, problem.clean_reference()).unwrap();
 //! assert!(outcome.combined.contains("unit_test_passed"));
 //! ```
 

@@ -23,10 +23,10 @@ fn perfect_answers_pass_everything() {
     let dataset = Dataset::generate();
     for problem in dataset.problems().iter().step_by(7) {
         let answer = problem.clean_reference();
-        let scores = cloudeval::score::score_pair(&problem.labeled_reference, &answer);
+        let scores = cloudeval::score::score_pair(&problem.labeled_reference, answer);
         assert_eq!(scores.kv_wildcard, 1.0, "{}", problem.id);
         assert_eq!(scores.kv_exact, 1.0, "{}", problem.id);
-        let outcome = cloudeval::shell::run_unit_test(&problem.unit_test, &answer).unwrap();
+        let outcome = cloudeval::shell::run_unit_test(&problem.unit_test, answer).unwrap();
         assert!(
             outcome.combined.contains("unit_test_passed"),
             "{}:\n{}",
